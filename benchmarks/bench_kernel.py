@@ -9,12 +9,15 @@ import time
 
 import pytest
 
+from repro.experiments.figures import FIG12_BASE
 from repro.network.network import Network
 from repro.network.topology import FullyConnected
 from repro.sim.events import AllOf
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import BatchMeans, RunningStats
+from repro.sim.stopping import StoppingConfig
+from repro.workload.clientserver import ClientServerWorkload
 
 
 @pytest.mark.benchmark(group="kernel")
@@ -73,6 +76,52 @@ def test_network_transmit_throughput(benchmark):
         return net.remote_messages
 
     assert benchmark(run) == 5_000
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_stream_exponential_throughput(benchmark):
+    """100k Exp(1) draws from one stream (block-prefetched).
+
+    Exactness against scalar numpy draws is the property test's job
+    (``tests/test_sim_rng.py``); here the mean is a sanity check.
+    """
+    draws = 100_000
+
+    def run():
+        stream = RandomStreams(0).stream("bench")
+        total = 0.0
+        for _ in range(draws):
+            total += stream.exponential(1.0)
+        return total
+
+    assert benchmark(run) == pytest.approx(draws, rel=0.02)
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_invocation_throughput(benchmark):
+    """The per-call layers composed: 25 sedentary clients, 10k calls.
+
+    Kernel + ``Network.transmit`` + ``InvocationService.invoke`` with no
+    migrations and no locks; the precision is unreachable, so the cell
+    stops at the first chunk boundary past 10k calls on every run.
+    """
+    params = FIG12_BASE.with_overrides(clients=25, policy="sedentary", seed=0)
+    stopping = StoppingConfig(
+        relative_precision=1e-9,
+        confidence=0.99,
+        batch_size=400,
+        warmup=500,
+        min_batches=10,
+        max_observations=10_000,
+    )
+
+    def run():
+        result = ClientServerWorkload(params, stopping=stopping).run()
+        return result.raw["metrics"]["calls"], result.raw["migrations"]
+
+    calls, migrations = benchmark(run)
+    assert calls >= 10_000
+    assert migrations == 0
 
 
 @pytest.mark.benchmark(group="kernel")

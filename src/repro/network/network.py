@@ -99,6 +99,9 @@ class Network:
     ) -> float:
         """Draw (and account) the latency of one message.
 
+        The one accounting site: :meth:`transmit` draws through here
+        too, so every message is counted exactly once.
+
         ``stream`` overrides the shared ``"network.latency"`` stream.
         Background traffic (e.g. failure-detector heartbeats) passes
         its own stream so enabling it never perturbs the latency draws
@@ -112,15 +115,16 @@ class Network:
             self.remote_messages += 1
         self.total_latency += delay
         if self._telemetry_on:
-            (self._m_local if src == dst else self._m_remote).inc()
-            self._m_latency.observe(delay)
-            self.telemetry.metrics.counter(
-                "network.link.messages", src=src, dst=dst
-            ).inc()
-            self.telemetry.metrics.counter(
-                "network.link.time", src=src, dst=dst
-            ).inc(delay)
+            self._observe(src, dst, delay)
         return delay
+
+    def _observe(self, src: int, dst: int, delay: float) -> None:
+        """Telemetry for one message (enabled sinks only)."""
+        metrics = self.telemetry.metrics
+        (self._m_local if src == dst else self._m_remote).inc()
+        self._m_latency.observe(delay)
+        metrics.counter("network.link.messages", src=src, dst=dst).inc()
+        metrics.counter("network.link.time", src=src, dst=dst).inc(delay)
 
     def transmit(
         self, src: int, dst: int, stream: Optional[Stream] = None
@@ -141,7 +145,8 @@ class Network:
             layer's job (:mod:`repro.runtime.retry`).
         """
         delay = self.sample_latency(src, dst, stream)
-        dropped = self.faults is not None and self.faults.should_drop(src, dst)
+        faults = self.faults
+        dropped = faults is not None and faults.should_drop(src, dst)
         if delay > 0:
             yield self.env.sleep(delay)
         if dropped:

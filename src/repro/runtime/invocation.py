@@ -32,8 +32,7 @@ sequence) is identical to the reliable model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from repro.errors import MessageLostError, NodeDownError, TimeoutError
 from repro.network.network import Network
@@ -49,9 +48,10 @@ from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import ERROR
 
 
-@dataclass(frozen=True)
-class InvocationResult:
+class InvocationResult(NamedTuple):
     """Outcome of one invocation, from the caller's point of view.
+
+    Immutable, and cheap to build: one is made per call.
 
     Attributes
     ----------
@@ -231,35 +231,123 @@ class InvocationService:
     def _invoke(
         self, caller_node: int, obj: DistributedObject, body
     ) -> Generator:
-        """The untraced invocation generator (see :meth:`invoke`)."""
-        start = self.env.now
-        blocked = 0.0
+        """The untraced invocation generator (see :meth:`invoke`).
+
+        One generator per call: every attempt of the call/reply exchange
+        runs inside the retry loop, so the kernel resumes the caller
+        through this frame and the ``transmit`` it is waiting in, not
+        through a chain of delegating generators.
+        """
+        env = self.env
+        tracer = self.tracer
+        start = attempt_start = env.now
         attempt = 0
 
         while True:
             attempt += 1
-            attempt_start = self.env.now
+            # Blocked time of a voided attempt is indistinguishable
+            # from timeout waiting to the caller; it stays part of the
+            # overall duration but not of ``blocked_time``.
+            blocked = 0.0
             try:
-                call_latency, reply_latency, attempt_blocked = (
-                    yield from self._attempt(caller_node, obj, body)
+                # An object in transit cannot accept the request; the
+                # call blocks until it is reinstalled (§4.1).
+                while obj.in_transit:
+                    t0 = env.now
+                    yield obj.reinstalled.wait()
+                    blocked += env.now - t0
+
+                # Resolve the current location (free under immediate
+                # update: nothing to wait for, so nothing to drive).
+                locator = self.locator
+                if self._telemetry_on:
+                    dst = yield from self._locate_traced(caller_node, obj)
+                elif locator.free:
+                    dst = obj.node_id
+                else:
+                    dst = yield from locator.locate(caller_node, obj)
+
+                # Call message.
+                call_latency = yield from self.network.transmit(
+                    caller_node, dst
                 )
-                blocked += attempt_blocked
+                if tracer.enabled:
+                    tracer.emit(
+                        env.now,
+                        MessageKind.INVOCATION_REQUEST.value,
+                        src=caller_node,
+                        dst=dst,
+                        object_id=obj.object_id,
+                        latency=call_latency,
+                    )
+
+                # The object may have departed while the request was in
+                # flight; the request waits at the runtime until it is
+                # operational again and is then processed wherever the
+                # object landed.
+                while obj.in_transit:
+                    t0 = env.now
+                    yield obj.reinstalled.wait()
+                    blocked += env.now - t0
+
+                # Crash-recover semantics: a request present at a
+                # crashed node parks until recovery (stable state)
+                # rather than executing on a corpse.  Only active when
+                # a liveness provider is wired in (the chaos harness
+                # does); otherwise the pre-fault behaviour and event
+                # sequence are untouched.
+                liveness = self.liveness
+                if liveness is not None:
+                    while liveness.is_down(obj.node_id):
+                        blocked += yield from liveness.wait_until_up(
+                            obj.node_id
+                        )
+                        # The object may have moved while the request
+                        # was parked.
+                        while obj.in_transit:
+                            t0 = env.now
+                            yield obj.reinstalled.wait()
+                            blocked += env.now - t0
+                    if liveness.is_down(obj.node_id):  # pragma: no cover
+                        self.executions_on_crashed += 1  # invariant: stays 0
+
+                # Local processing is neglected (four orders of
+                # magnitude below a remote action, §4.1).
+                obj.invocation_count += 1
+
+                # Nested invocations performed by the callee while
+                # serving this call (e.g. a first-layer server using
+                # its second layer).
+                if body is not None:
+                    yield from body(obj.node_id)
+
+                # Result message back to the caller.
+                reply_src = obj.node_id
+                reply_latency = yield from self.network.transmit(
+                    reply_src, caller_node
+                )
+                if tracer.enabled:
+                    tracer.emit(
+                        env.now,
+                        MessageKind.INVOCATION_REPLY.value,
+                        src=reply_src,
+                        dst=caller_node,
+                        object_id=obj.object_id,
+                        latency=reply_latency,
+                    )
                 break
             except MessageLostError:
-                # Blocked time of a voided attempt is indistinguishable
-                # from timeout waiting to the caller; it stays part of
-                # the overall duration but not of ``blocked_time``.
                 self.timeouts += 1
                 if self._telemetry_on:
                     self._m_timeouts.inc()
                 # The sender learns nothing until its timeout elapses;
                 # the wire time already spent counts towards it.
-                remaining = self.retry.timeout - (self.env.now - attempt_start)
+                remaining = self.retry.timeout - (env.now - attempt_start)
                 if remaining > 0:
-                    yield self.env.sleep(remaining)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.env.now,
+                    yield env.sleep(remaining)
+                if tracer.enabled:
+                    tracer.emit(
+                        env.now,
                         "invocation.timeout",
                         src=caller_node,
                         object_id=obj.object_id,
@@ -295,9 +383,10 @@ class InvocationService:
                 )
                 if delay > 0:
                     self.retry_wait_time += delay
-                    yield self.env.sleep(delay)
+                    yield env.sleep(delay)
+                attempt_start = env.now
 
-        duration = self.env.now - start
+        duration = env.now - start
         was_local = (
             call_latency == 0.0
             and reply_latency == 0.0
@@ -314,107 +403,24 @@ class InvocationService:
         if self._telemetry_on:
             (self._m_local if was_local else self._m_remote).inc()
             self._m_duration.observe(duration)
-        return InvocationResult(
-            duration=duration,
-            was_local=was_local,
-            blocked_time=blocked,
-            attempts=attempt,
-        )
+        return InvocationResult(duration, was_local, blocked, attempt)
 
-    def _attempt(
-        self, caller_node: int, obj: DistributedObject, body
+    def _locate_traced(
+        self, caller_node: int, obj: DistributedObject
     ) -> Generator:
-        """One try of the call/reply exchange.
-
-        Returns ``(call_latency, reply_latency, blocked_time)``;
-        propagates :class:`MessageLostError` from either message leg.
-        """
-        blocked = 0.0
-
-        # An object in transit cannot accept the request; the call
-        # blocks until it is reinstalled (§4.1).
-        while obj.in_transit:
-            t0 = self.env.now
-            yield obj.reinstalled.wait()
-            blocked += self.env.now - t0
-
-        # Resolve the current location (free under immediate update).
-        if self._telemetry_on:
-            lspan = self.telemetry.start_span(
-                "locate", node=caller_node, object=obj.name
-            )
-            try:
-                dst = yield from self.locator.locate(caller_node, obj)
-            except BaseException as exc:
-                self.telemetry.end_span(
-                    lspan, status=ERROR, error=type(exc).__name__
-                )
-                raise
-            hops = getattr(self.locator, "last_hops", None)
-            if hops is not None:
-                lspan.tag(hops=hops)
-            self.telemetry.end_span(lspan, dst=dst)
-        else:
-            dst = yield from self.locator.locate(caller_node, obj)
-
-        # Call message.
-        call_latency = yield from self.network.transmit(caller_node, dst)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.env.now,
-                MessageKind.INVOCATION_REQUEST.value,
-                src=caller_node,
-                dst=dst,
-                object_id=obj.object_id,
-                latency=call_latency,
-            )
-
-        # The object may have departed while the request was in flight;
-        # the request waits at the runtime until it is operational again
-        # and is then processed wherever the object landed.
-        while obj.in_transit:
-            t0 = self.env.now
-            yield obj.reinstalled.wait()
-            blocked += self.env.now - t0
-
-        # Crash-recover semantics: a request present at a crashed node
-        # parks until recovery (stable state) rather than executing on
-        # a corpse.  Only active when a liveness provider is wired in
-        # (the chaos harness does); otherwise the pre-fault behaviour
-        # and event sequence are untouched.
-        liveness = self.liveness
-        if liveness is not None:
-            while liveness.is_down(obj.node_id):
-                blocked += yield from liveness.wait_until_up(obj.node_id)
-                # The object may have moved while the request was parked.
-                while obj.in_transit:
-                    t1 = self.env.now
-                    yield obj.reinstalled.wait()
-                    blocked += self.env.now - t1
-
-        # Local processing is neglected (four orders of magnitude below
-        # a remote action, §4.1).
-        if liveness is not None and liveness.is_down(obj.node_id):
-            self.executions_on_crashed += 1  # pragma: no cover - invariant
-        obj.invocation_count += 1
-
-        # Nested invocations performed by the callee while serving this
-        # call (e.g. a first-layer server using its second layer).
-        if body is not None:
-            yield from body(obj.node_id)
-
-        reply_src = obj.node_id
-
-        # Result message back to the caller.
-        reply_latency = yield from self.network.transmit(reply_src, caller_node)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.env.now,
-                MessageKind.INVOCATION_REPLY.value,
-                src=reply_src,
-                dst=caller_node,
-                object_id=obj.object_id,
-                latency=reply_latency,
-            )
-
-        return call_latency, reply_latency, blocked
+        """Span-wrapped ``locator.locate``: one ``locate`` span per lookup."""
+        telemetry = self.telemetry
+        locator = self.locator
+        span = telemetry.start_span(
+            "locate", node=caller_node, object=obj.name
+        )
+        try:
+            dst = yield from locator.locate(caller_node, obj)
+        except BaseException as exc:
+            telemetry.end_span(span, status=ERROR, error=type(exc).__name__)
+            raise
+        hops = getattr(locator, "last_hops", None)
+        if hops is not None:
+            span.tag(hops=hops)
+        telemetry.end_span(span, dst=dst)
+        return dst

@@ -28,6 +28,10 @@ class Locator(ABC):
 
     #: Registry name used by experiment configs.
     name = "abstract"
+    #: True when :meth:`locate` never waits and just returns
+    #: ``obj.node_id``; callers may then read it directly instead of
+    #: driving a generator that never yields.
+    free = False
 
     def __init__(self, env: Environment, network: Network):
         self.env = env
@@ -53,6 +57,7 @@ class ImmediateUpdateLocator(Locator):
     """
 
     name = "immediate"
+    free = True
 
     def locate(self, caller_node: int, obj: DistributedObject) -> Generator:
         return obj.node_id

@@ -17,19 +17,38 @@ workhorse.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 
-class Stream:
-    """A single named random stream (thin wrapper over a numpy Generator)."""
+#: Standard-exponential values fetched per refill of a stream's block.
+_BLOCK = 256
 
-    __slots__ = ("name", "_gen")
+
+class Stream:
+    """A single named random stream (thin wrapper over a numpy Generator).
+
+    Exponential draws are served from a block of ``_BLOCK`` prefetched
+    standard-exponential values: numpy computes ``exponential(mean)`` as
+    ``mean * standard_exponential()`` over the same ziggurat stream, so
+    ``mean * block[i]`` is bit-for-bit the scalar draw at a fraction of
+    its cost.  The prefetch is exact for streams that mix draw kinds
+    too: the bit-generator state is saved before each refill, and the
+    first draw of any other kind rewinds to it, replays the values
+    already handed out, and leaves the stream on scalar draws for good.
+    """
+
+    __slots__ = ("name", "_gen", "_block", "_rewind")
 
     def __init__(self, name: str, generator: np.random.Generator):
         self.name = name
         self._gen = generator
+        #: Prefetched values, reversed so ``pop()`` serves them in draw
+        #: order; ``None`` once the stream has fallen back to scalar draws.
+        self._block: Optional[List[float]] = []
+        #: Bit-generator state from before the current block was drawn.
+        self._rewind: Optional[dict] = None
 
     def exponential(self, mean: float) -> float:
         """Draw from Exp with the given *mean* (not rate).
@@ -38,33 +57,64 @@ class Stream:
         degenerate configurations (e.g. zero think time) be expressed
         without special-casing at the call sites.
         """
+        block = self._block
+        if block and mean > 0:
+            return mean * block.pop()
         if mean < 0:
             raise ValueError(f"mean must be non-negative, got {mean}")
         if mean == 0:
             return 0.0
-        return float(self._gen.exponential(mean))
+        if block is None:
+            return float(self._gen.exponential(mean))
+        return mean * self._refill()
+
+    def _refill(self) -> float:
+        """Prefetch the next block; returns its first value."""
+        gen = self._gen
+        self._rewind = gen.bit_generator.state
+        block = gen.standard_exponential(_BLOCK).tolist()
+        block.reverse()
+        self._block = block
+        return block.pop()
+
+    def _scalar(self) -> np.random.Generator:
+        """The generator, positioned right after the last draw handed out.
+
+        Called by every non-exponential draw.  The first call undoes the
+        unconsumed part of the prefetched block (restore the saved
+        state, re-draw the consumed count) and ends prefetching on this
+        stream, so every later draw of any kind is the plain numpy call.
+        """
+        block = self._block
+        if block is not None:
+            self._block = None
+            if self._rewind is not None:
+                self._gen.bit_generator.state = self._rewind
+                self._rewind = None
+                self._gen.standard_exponential(_BLOCK - len(block))
+        return self._gen
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Draw uniformly from ``[low, high)``."""
-        return float(self._gen.uniform(low, high))
+        return float(self._scalar().uniform(low, high))
 
     def integer(self, low: int, high: int) -> int:
         """Draw a uniform integer from ``[low, high)``."""
-        return int(self._gen.integers(low, high))
+        return int(self._scalar().integers(low, high))
 
     def choice(self, seq):
         """Pick one element of a non-empty sequence uniformly."""
         if len(seq) == 0:
             raise ValueError("cannot choose from an empty sequence")
-        return seq[int(self._gen.integers(0, len(seq)))]
+        return seq[int(self._scalar().integers(0, len(seq)))]
 
     def shuffle(self, seq: list) -> None:
         """Shuffle a list in place."""
-        self._gen.shuffle(seq)
+        self._scalar().shuffle(seq)
 
     def poisson_count(self, mean: float) -> int:
         """Draw a Poisson-distributed count with the given mean."""
-        return int(self._gen.poisson(mean))
+        return int(self._scalar().poisson(mean))
 
     def geometric_at_least_one(self, mean: float) -> int:
         """Integer-valued draw with the given mean, at least 1.

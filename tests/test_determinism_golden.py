@@ -7,11 +7,25 @@ pooled ``env.sleep``, inlined run loop) must reproduce them *exactly*
 depend on whether the cell cache or the process pool is in the loop.
 """
 
+import dataclasses
+import hashlib
 import json
 
+import pytest
+
+from repro.availability.faulttolerance import (
+    FaultToleranceParameters,
+    run_faulttolerance_cell,
+)
+from repro.core.attachment import AttachmentMode
 from repro.experiments.cache import CellCache
 from repro.experiments.executor import ParallelExecutor
+from repro.experiments.figures import FIG16_BASE
 from repro.experiments.persistence import params_to_dict
+from repro.replication.workload import (
+    ReplicationParameters,
+    run_replication_cell,
+)
 from repro.sim.stopping import StoppingConfig
 from repro.workload.clientserver import run_cell
 from repro.workload.params import SimulationParameters
@@ -33,6 +47,45 @@ GOLDEN_CELLS = {
         16000.0,
     ),
 }
+
+#: SHA-256 of ``_fingerprint`` under StoppingConfig.fast(), recorded at
+#: the commit before the per-call fast path (block-prefetched draws,
+#: merged attempt loop, trimmed transmit) for the shapes it serves and
+#: GOLDEN_CELLS does not: set migration with attachments, the two
+#: locators that charge for a lookup.
+GOLDEN_FINGERPRINTS = {
+    "layered-unrestricted-migration": (
+        FIG16_BASE.with_overrides(
+            clients=12,
+            policy="migration",
+            attachment_mode=AttachmentMode.UNRESTRICTED,
+            seed=5,
+        ),
+        "282381f681cc934b9eaef32e18c2dded8da85d53356e727eccfda77b204ba8a9",
+    ),
+    "nameserver-locator": (
+        SimulationParameters(
+            policy="migration", clients=5, seed=3, locator="nameserver"
+        ),
+        "5d7ffb4ee4b06dcb91a6dba6d20d933967cc4c922c126b73bc9e6397fa3e6c33",
+    ),
+    "forwarding-locator": (
+        SimulationParameters(
+            policy="migration", clients=5, seed=3, locator="forwarding"
+        ),
+        "8bd59385910ec98a4825674fd1799d95dde7da2921b660f8049f5ea09b5b4184",
+    ),
+}
+
+#: Same, over ``_record_fingerprint``: a lossy-link cell whose calls time
+#: out and retry, and a replication cell whose client streams mix
+#: exponential, choice and uniform draws.
+GOLDEN_FT_LOSSY = (
+    "e3a789fd5662738538db26491ea8a8f805cd58af6cf4774504299e26109f44e1"
+)
+GOLDEN_REPLICATION = (
+    "a4c6062ee3c078ebae766a7b85078671abe0e01e758e368b0a2297b36db0a0c6"
+)
 
 #: Loose-but-quick stopping rule for the multi-cell determinism tests.
 TINY = StoppingConfig(
@@ -69,6 +122,15 @@ def _fingerprint(result):
     return json.dumps(document, sort_keys=True)
 
 
+def _record_fingerprint(result):
+    """``_fingerprint`` for the studies whose result is a plain dataclass."""
+    return json.dumps(dataclasses.asdict(result), sort_keys=True, default=repr)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestGoldenMetrics:
     def test_seeded_cells_bit_identical_to_pre_fastpath_kernel(self):
         for (policy, clients, seed), expected in GOLDEN_CELLS.items():
@@ -77,6 +139,27 @@ class TestGoldenMetrics:
             )
             result = run_cell(params, stopping=StoppingConfig.fast())
             assert _metrics(result) == expected, (policy, clients, seed)
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_FINGERPRINTS))
+    def test_fingerprint_bit_identical_to_pre_fastpath_layers(self, shape):
+        params, expected = GOLDEN_FINGERPRINTS[shape]
+        result = run_cell(params, stopping=StoppingConfig.fast())
+        assert _sha(_fingerprint(result)) == expected
+
+    def test_lossy_link_retry_cell_bit_identical(self):
+        result = run_faulttolerance_cell(
+            FaultToleranceParameters(
+                policy="placement", loss=0.1, sim_time=1500.0, seed=4
+            )
+        )
+        assert result.timeouts > 0 and result.retries > 0
+        assert _sha(_record_fingerprint(result)) == GOLDEN_FT_LOSSY
+
+    def test_mixed_draw_stream_cell_bit_identical(self):
+        result = run_replication_cell(
+            ReplicationParameters(seed=2), stopping=StoppingConfig.fast()
+        )
+        assert _sha(_record_fingerprint(result)) == GOLDEN_REPLICATION
 
     def test_repeated_runs_identical(self):
         params = SimulationParameters(policy="placement", clients=5, seed=3)

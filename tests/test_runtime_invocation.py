@@ -61,6 +61,14 @@ class TestBasicInvocation:
         assert system.invocations.durations.count == 2
         assert system.invocations.durations.total == pytest.approx(2.0)
 
+    def test_result_rejects_attribute_assignment(self, system):
+        server = system.create_server(node=2)
+        result = run_invocation(system, 0, server)
+        with pytest.raises(AttributeError):
+            result.duration = 0.0
+        with pytest.raises(AttributeError):
+            result.note = "results carry no extra state"
+
     def test_trace_records_request_and_reply(self, system):
         server = system.create_server(node=1)
         run_invocation(system, 0, server)

@@ -181,3 +181,57 @@ class TestInvocationRetries:
         assert p.value.attempts > 1
         assert not p.value.was_local
         assert system.invocations.local_calls == 0
+
+    def test_voided_attempts_wait_is_not_blocked_time(self):
+        # Both attempts find the callee in transit; the first then loses
+        # its reply.  Only the attempt that succeeded reports its wait.
+        model = LinkFaultModel()
+        system = DistributedSystem(
+            nodes=3,
+            seed=5,
+            migration_duration=3.0,
+            latency=DeterministicLatency(1.0),
+            fault_model=model,
+            retry=DET,
+        )
+        server = system.create_server(node=1, name="s")
+        env = system.env
+
+        def mover():
+            yield from system.migrations.migrate([server], 2)  # lands t=3
+            yield env.timeout(6.5)
+            yield from system.migrations.migrate([server], 1)  # 9.5 -> 12.5
+
+        def saboteur():
+            # Down after the call message left (t=3), before the reply
+            # does (t=4); up again well before the retry.
+            yield env.timeout(3.5)
+            model.fail_link(0, 2)
+            yield env.timeout(2.5)
+            model.restore_link(0, 2)
+
+        def caller():
+            yield env.timeout(1.0)
+            result = yield from system.invocations.invoke(0, server)
+            return result
+
+        env.process(mover(), name="mover")
+        env.process(saboteur(), name="saboteur")
+        p = env.process(caller(), name="caller")
+        system.run()
+
+        # Attempt 1: blocked 1..3, call 3..4, reply lost at 5, timeout
+        # runs out at 9, backoff 1.  Attempt 2: blocked 10..12.5, call
+        # and reply 12.5..14.5.
+        result = p.value
+        assert result.attempts == 2
+        assert result.blocked_time == pytest.approx(2.5)
+        assert result.duration == pytest.approx(13.5)
+        assert not result.was_local
+        svc = system.invocations
+        assert svc.timeouts == 1
+        assert svc.retries == 1
+        assert svc.failed_calls == 0
+        assert svc.blocked_calls == 1
+        assert svc.durations.count == 1
+        assert server.invocation_count == 2

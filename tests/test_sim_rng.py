@@ -1,9 +1,13 @@
 """Unit tests for the named random-stream factory."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.sim.rng import RandomStreams, Stream
+from repro.sim.rng import _BLOCK, RandomStreams, Stream
 
 
 class TestRandomStreams:
@@ -94,3 +98,87 @@ class TestStreamDraws:
         stream.shuffle(items)
         assert sorted(items) == original
         assert items != original  # vanishingly unlikely to be identity
+
+
+#: One draw on a Stream and the same draw made directly on numpy.
+DRAWS = {
+    "exponential": (
+        lambda s, mean: s.exponential(mean),
+        lambda g, mean: _numpy_exponential(g, mean),
+    ),
+    "geometric_at_least_one": (
+        lambda s, mean: s.geometric_at_least_one(mean),
+        lambda g, mean: max(1, int(round(_numpy_exponential(g, mean)))),
+    ),
+    "uniform": (
+        lambda s, high: s.uniform(0.0, high),
+        lambda g, high: float(g.uniform(0.0, high)),
+    ),
+    "integer": (
+        lambda s, high: s.integer(0, high),
+        lambda g, high: int(g.integers(0, high)),
+    ),
+    "choice": (
+        lambda s, size: s.choice(range(size)),
+        lambda g, size: range(size)[int(g.integers(0, size))],
+    ),
+    "shuffle": (
+        lambda s, size: _shuffled(s.shuffle, size),
+        lambda g, size: _shuffled(g.shuffle, size),
+    ),
+    "poisson_count": (
+        lambda s, mean: s.poisson_count(mean),
+        lambda g, mean: int(g.poisson(mean)),
+    ),
+}
+
+EXPONENTIAL = st.tuples(
+    st.sampled_from(["exponential", "geometric_at_least_one"]),
+    st.sampled_from([0, 0.5, 1, 30]),
+)
+OTHER = st.tuples(
+    st.sampled_from(["uniform", "integer", "choice", "shuffle", "poisson_count"]),
+    st.integers(min_value=1, max_value=9),
+)
+
+
+def _numpy_exponential(generator, mean):
+    # A zero mean is 0.0 by definition and consumes nothing.
+    return 0.0 if mean == 0 else float(generator.exponential(mean))
+
+
+def _shuffled(shuffle, size):
+    items = list(range(size))
+    shuffle(items)
+    return items
+
+
+class TestPrefetchExactness:
+    """Block-prefetched exponentials are the scalar numpy draws, exactly."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lead=st.integers(min_value=0, max_value=2 * _BLOCK + 90),
+        ops=st.lists(st.one_of(EXPONENTIAL, OTHER), max_size=30),
+    )
+    # An exponential-only run past two refills; a foreign draw landing
+    # mid-block, on a block boundary, and before any exponential.
+    @example(seed=7, lead=2 * _BLOCK + 90, ops=[])
+    @example(seed=7, lead=_BLOCK + 100, ops=[("choice", 3), ("exponential", 1)])
+    @example(seed=7, lead=_BLOCK, ops=[("uniform", 1), ("exponential", 30)])
+    @example(seed=7, lead=0, ops=[("integer", 5), ("exponential", 0.5)])
+    @settings(max_examples=150, deadline=None)
+    def test_any_interleaving_equals_direct_numpy_draws(self, seed, lead, ops):
+        stream = RandomStreams(seed).stream("prop")
+        reference = np.random.default_rng(
+            np.random.SeedSequence([seed, zlib.crc32(b"prop")])
+        )
+        means = (1, 30, 0.5, 0)
+        sequence = [("exponential", means[i % 4]) for i in range(lead)] + ops
+        for position, (kind, argument) in enumerate(sequence):
+            on_stream, on_numpy = DRAWS[kind]
+            assert on_stream(stream, argument) == on_numpy(
+                reference, argument
+            ), (position, kind, argument)
+        # The generators end in the same place: later draws agree too.
+        assert stream.uniform() == float(reference.uniform(0.0, 1.0))
