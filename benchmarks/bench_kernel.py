@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from repro.experiments.figures import FIG12_BASE
+from repro.core.attachment import AttachmentMode
+from repro.experiments.figures import FIG12_BASE, FIG16_BASE
 from repro.network.network import Network
 from repro.network.topology import FullyConnected
 from repro.sim.events import AllOf
@@ -18,6 +19,7 @@ from repro.sim.rng import RandomStreams
 from repro.sim.stats import BatchMeans, RunningStats
 from repro.sim.stopping import StoppingConfig
 from repro.workload.clientserver import ClientServerWorkload
+from repro.workload.layered import LayeredWorkload
 
 
 @pytest.mark.benchmark(group="kernel")
@@ -122,6 +124,38 @@ def test_invocation_throughput(benchmark):
     calls, migrations = benchmark(run)
     assert calls >= 10_000
     assert migrations == 0
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_set_migration_throughput(benchmark):
+    """Set transfers: 12 clients dragging unrestricted closures, 5k calls.
+
+    The mirror of ``test_invocation_throughput``: ``closure`` +
+    ``MigrationService.migrate`` dominate (about two objects moved per
+    call), most members parking behind another mover first.
+    """
+    params = FIG16_BASE.with_overrides(
+        clients=12,
+        policy="migration",
+        attachment_mode=AttachmentMode.UNRESTRICTED,
+        seed=0,
+    )
+    stopping = StoppingConfig(
+        relative_precision=1e-9,
+        confidence=0.99,
+        batch_size=400,
+        warmup=500,
+        min_batches=10,
+        max_observations=5_000,
+    )
+
+    def run():
+        result = LayeredWorkload(params, stopping=stopping).run()
+        return result.raw["metrics"]["calls"], result.raw["migrations"]
+
+    calls, migrations = benchmark(run)
+    assert calls >= 5_000
+    assert migrations > calls
 
 
 @pytest.mark.benchmark(group="kernel")

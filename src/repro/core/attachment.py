@@ -68,6 +68,12 @@ class AttachmentManager:
         self._objects: Dict[int, DistributedObject] = {}
         #: Count of attach calls ignored by the EXCLUSIVE rule.
         self.ignored_attachments = 0
+        #: closure memo: (object id, context, restrict) -> members.
+        #: Workload graphs are static while every move-block asks for
+        #: the same closure; any edge mutation clears it.
+        self._closures: Dict[
+            Tuple[int, Optional[int], bool], Tuple[DistributedObject, ...]
+        ] = {}
 
     # -- mutation ----------------------------------------------------------------
 
@@ -94,6 +100,7 @@ class AttachmentManager:
                 self.ignored_attachments += 1
                 return False
 
+        self._closures.clear()
         self._objects[a.object_id] = a
         self._objects[b.object_id] = b
         self._adjacency.setdefault(a.object_id, set()).add((b.object_id, context))
@@ -112,6 +119,7 @@ class AttachmentManager:
         edges_a = self._adjacency.get(a.object_id, set())
         edges_b = self._adjacency.get(b.object_id, set())
         if (b.object_id, context) in edges_a:
+            self._closures.clear()
             edges_a.discard((b.object_id, context))
             edges_b.discard((a.object_id, context))
             removed = True
@@ -124,6 +132,7 @@ class AttachmentManager:
 
     def detach_all(self, obj: DistributedObject) -> int:
         """Remove every attachment involving ``obj``; returns the count."""
+        self._closures.clear()
         edges = self._adjacency.get(obj.object_id, set())
         count = len(edges)
         for nbr, context in list(edges):
@@ -195,28 +204,30 @@ class AttachmentManager:
               edges tagged with that alliance (§3.4).
 
         Returns the closure *including* ``obj`` itself, ordered by
-        object id for determinism.
+        object id for determinism; the list is the caller's to keep.
         """
+        if obj.object_id not in self._objects:
+            # Never attached: nothing to follow, and nothing to memoize
+            # against an object the graph has not seen.
+            return [obj]
         restrict = context is not None and self.mode is AttachmentMode.A_TRANSITIVE
-        seen: Set[int] = {obj.object_id}
-        frontier = deque([obj.object_id])
-        while frontier:
-            current = frontier.popleft()
-            for nbr, ctx in self._adjacency.get(current, set()):
-                if restrict and ctx != context:
-                    continue
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        members = [self._objects.get(oid, obj if oid == obj.object_id else None)
-                   for oid in sorted(seen)]
-        # `obj` may never have been attached to anything; make sure it
-        # is present and non-None.
-        result = [m for m in members if m is not None]
-        if obj not in result:
-            result.append(obj)
-            result.sort(key=lambda o: o.object_id)
-        return result
+        key = (obj.object_id, context, restrict)
+        members = self._closures.get(key)
+        if members is None:
+            seen: Set[int] = {obj.object_id}
+            frontier = deque([obj.object_id])
+            while frontier:
+                current = frontier.popleft()
+                for nbr, ctx in self._adjacency.get(current, set()):
+                    if restrict and ctx != context:
+                        continue
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        frontier.append(nbr)
+            members = self._closures[key] = tuple(
+                self._objects[oid] for oid in sorted(seen)
+            )
+        return list(members)
 
     def components(self) -> List[List[DistributedObject]]:
         """All weakly connected components (unrestricted view)."""

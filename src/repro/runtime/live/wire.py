@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 #: Control/data kinds of the live protocol.  String values keep frames
 #: readable in dumps and decouple the wire from enum identity.
@@ -148,7 +149,7 @@ class DedupIndex:
     matter how long the run.
     """
 
-    __slots__ = ("window", "_floor", "_recent", "duplicates")
+    __slots__ = ("window", "_floor", "_recent", "_oldest", "duplicates")
 
     def __init__(self, window: int = 4096):
         if window < 1:
@@ -158,6 +159,13 @@ class DedupIndex:
         self._floor: Dict[int, int] = {}
         #: peer -> out-of-order seen sequences above the floor.
         self._recent: Dict[int, Set[int]] = {}
+        #: peer -> min-heap over the same ids as ``_recent``.  A sender
+        #: mints ids from one counter across all its destinations, so
+        #: each receiver sees gaps, its floor stalls and the window
+        #: stays full: the heap makes evicting the oldest id O(log
+        #: window) where sorting the window cost O(window log window)
+        #: per frame.
+        self._oldest: Dict[int, List[int]] = {}
         #: Total duplicates suppressed.
         self.duplicates = 0
 
@@ -168,23 +176,30 @@ class DedupIndex:
         if seq <= floor:
             self.duplicates += 1
             return True
-        recent = self._recent.setdefault(peer, set())
+        recent = self._recent.get(peer)
+        if recent is None:
+            recent = self._recent[peer] = set()
+            self._oldest[peer] = []
         if seq in recent:
             self.duplicates += 1
             return True
         recent.add(seq)
-        # Advance the contiguous floor and trim the window.
+        oldest = self._oldest[peer]
+        heappush(oldest, seq)
+        # Advance the contiguous floor; ids it absorbs are all smaller
+        # than those it leaves, so they come off the top of the heap.
         while floor + 1 in recent:
             floor += 1
             recent.discard(floor)
-        self._floor[peer] = floor
-        if len(recent) > self.window:
-            # Pathological reordering: collapse the oldest ids into the
+        while oldest and oldest[0] <= floor:
+            heappop(oldest)
+        while len(recent) > self.window:
+            # Pathological reordering: collapse the oldest id into the
             # floor (may treat a genuinely-new very-old id as dup — the
             # safe direction for at-most-once handling).
-            for stale in sorted(recent)[: len(recent) - self.window]:
-                recent.discard(stale)
-                self._floor[peer] = max(self._floor[peer], stale)
+            floor = heappop(oldest)
+            recent.discard(floor)
+        self._floor[peer] = floor
         return False
 
     def __repr__(self) -> str:

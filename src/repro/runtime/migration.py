@@ -12,6 +12,10 @@ but every member is individually unavailable for its own transfer
 window, which is what makes dragging a large working set so costly for
 everyone else.
 
+One ``migrate()`` call is one :class:`_SetTransfer`: a small state
+machine per member, driven by calendar callbacks rather than by a
+kernel process of its own.
+
 Objects that are already at the target are not transferred ("moving" an
 object to where it is costs nothing).  Objects in transit are waited
 for, then transferred — this is how a conventional move "steals" an
@@ -36,14 +40,16 @@ in ``strict`` mode, raised as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.errors import MigrationAbortedError, ObjectFixedError
+from repro.errors import MigrationAbortedError, ObjectFixedError, ProcessError
 from repro.network.network import Network
 from repro.runtime.locator import Locator
 from repro.runtime.messages import MessageKind
 from repro.runtime.objects import DistributedObject
 from repro.runtime.registry import ObjectRegistry
+from repro.sim.events import URGENT, Event
 from repro.sim.kernel import Environment
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
@@ -91,6 +97,319 @@ class MigrationOutcome:
     def aborted_count(self) -> int:
         """Number of objects whose transfer was aborted."""
         return len(self.aborted)
+
+
+#: Member states of a set transfer.  A member waits in one of the first
+#: two and ends in exactly one of the other four; a fixed member never
+#: leaves PARKED, it fails the whole call instead.
+PARKED = "parked"  # its object is on the wire for another mover
+IN_TRANSIT = "in-transit"  # on its own outbound or rollback leg
+INSTALLED = "installed"
+ROLLED_BACK = "rolled-back"  # went out, came back to its origin
+ALREADY = "already"  # found at the target when its turn came
+ABORTED = "aborted"  # refused before it was linearized (dead target)
+
+
+class _SetTransfer:
+    """The transfers of one ``migrate()`` call, driven by calendar
+    callbacks instead of one kernel process per member.
+
+    The calendar order is that of the per-member processes this
+    replaces, event for event where another process can observe it.
+    Five rules carry that (DESIGN.md §8 has the argument):
+
+    (a) The N adjacent URGENT process-start events become one URGENT
+        event that starts the members in list order.
+    (b) Members started by that event whose transfers end at the same
+        time share one ``env.sleep``; its callbacks run in member
+        order.  A member that starts later arms its own timer.
+    (c) A member whose object is in transit parks on
+        ``obj.reinstalled.wait()`` with its own start as the callback,
+        so waiter lists and wake-up events are unchanged.
+    (d) Completion is counted as members finish; only the last finisher
+        schedules a zero-delay NORMAL event, and processing it triggers
+        :attr:`done` — two hops, as from the last process event to the
+        ``AllOf`` before, so the mover still resumes after every caller
+        the installs woke.
+    (e) A fixed member fails :attr:`done`, over the same two hops, with
+        the :class:`~repro.errors.ProcessError` its process would have
+        died of; the other members run on.
+
+    What a member does on the way — counters, ``active_transfers``,
+    trace records, the loss draw, spans — happens at the same points in
+    the same order as before.  Members schedule nothing URGENT, which
+    is what lets (a) and (b) run them back to back.
+    """
+
+    __slots__ = (
+        "service", "target", "extra_time", "span", "members",
+        "unfinished", "failed", "done",
+    )
+
+    def __init__(
+        self,
+        service: "MigrationService",
+        movers: List[DistributedObject],
+        target: int,
+        extra_time: float,
+        span: Optional[Span],
+    ):
+        self.service = service
+        self.target = target
+        self.extra_time = extra_time
+        #: The ``migration`` span: callbacks run outside any process, so
+        #: member spans take their parent explicitly and stay detached.
+        self.span = span
+        self.members = [_Member(self, obj) for obj in movers]
+        self.unfinished = len(movers)
+        self.failed = False
+        env = service.env
+        #: Fires (or fails) when the call is complete; the mover yields it.
+        self.done = env.event()
+        # Rule (a).  The event only carries the callback; nothing waits
+        # on it or reads a value from it.
+        start = env.event()
+        start.callbacks.append(self._start)
+        env.schedule(start, priority=URGENT)
+
+    def _start(self, _event: Event) -> None:
+        env = self.service.env
+        now = env.now
+        timers: Dict[float, Event] = {}
+        for member in self.members:
+            if member.start():
+                # Rule (b).  Keyed on the wake-up time, not the
+                # duration: that is what the calendar orders by.
+                wake = now + member.duration
+                timer = timers.get(wake)
+                if timer is None:
+                    timer = timers[wake] = env.sleep(member.duration)
+                timer.callbacks.append(member.arrive)
+
+    def finish(self, member: "_Member", state: str, wire_time: float) -> None:
+        """Record a member's terminal state; rule (d)."""
+        member.state = state
+        member.wire_time = wire_time
+        self.unfinished -= 1
+        if not self.unfinished:
+            self._complete(None)
+
+    def fail(self, member: "_Member", exc: Exception) -> None:
+        """Rule (e).  The failed member never finishes, so the call
+        cannot also complete; a second fixed member changes nothing."""
+        if self.failed:
+            return
+        self.failed = True
+        error = ProcessError(
+            f"process {'transfer-' + member.obj.name!r} failed: {exc!r}"
+        )
+        error.__cause__ = exc
+        self._complete(error)
+
+    def _complete(self, error: Optional[ProcessError]) -> None:
+        hop = self.service.env.event()
+        hop.callbacks.append(self.done.trigger)
+        if error is None:
+            hop.succeed()
+        else:
+            hop.fail(error)
+
+
+class _Member:
+    """One object of a :class:`_SetTransfer`."""
+
+    __slots__ = (
+        "call", "obj", "state", "wire_time", "origin", "duration", "lost",
+        "span",
+    )
+
+    def __init__(self, call: _SetTransfer, obj: DistributedObject):
+        self.call = call
+        self.obj = obj
+        self.state = PARKED
+        #: Transfer time of an installed member, wasted wire time of an
+        #: aborted one.
+        self.wire_time = 0.0
+        self.span: Optional[Span] = None
+
+    def start(self) -> bool:
+        """Leave PARKED if the object is installed.
+
+        True when the member went on the wire and the caller has to arm
+        the timer that ends in :meth:`arrive`.
+        """
+        obj = self.obj
+        if obj.in_transit:
+            # Rule (c): the request queues at the runtime and executes
+            # on reinstallation — unless an earlier waiter took the
+            # object away again, in which case it parks again.
+            obj.reinstalled.wait().callbacks.append(self.start_late)
+            return False
+
+        call = self.call
+        service = call.service
+        if obj.fixed:
+            call.fail(
+                self,
+                ObjectFixedError(f"{obj.name} is fixed and cannot migrate"),
+            )
+            return False
+
+        target = call.target
+        if obj.node_id == target:
+            call.finish(self, ALREADY, 0.0)
+            return False
+
+        origin = self.origin = obj.node_id
+        if service._telemetry_on:
+            self.span = service.telemetry.start_span(
+                "transfer",
+                node=origin,
+                parent=call.span,
+                detached=True,
+                object=obj.name,
+                dst=target,
+            )
+
+        # Fast abort: a target known to be dead rejects the transfer at
+        # the origin runtime before the object is even linearized.
+        if service._node_down(target):
+            service.migrations_aborted += 1
+            if service._telemetry_on:
+                service.telemetry.metrics.counter(
+                    "migration.aborted", reason="node-down"
+                ).inc()
+                service.telemetry.end_span(
+                    self.span, status=ERROR, reason="node-down"
+                )
+            if service.tracer.enabled:
+                service.tracer.emit(
+                    service.env.now,
+                    "migration.abort",
+                    object_id=obj.object_id,
+                    src=origin,
+                    dst=target,
+                    reason="node-down",
+                )
+            call.finish(self, ABORTED, 0.0)
+            return False
+
+        duration = self.duration = service.duration_for(obj) + call.extra_time
+        service.registry.depart(obj)
+        obj.begin_transit()
+        service.active_transfers[obj.object_id] = (origin, target)
+        self.state = IN_TRANSIT
+        if service.tracer.enabled:
+            service.tracer.emit(
+                service.env.now,
+                "migration.start",
+                object_id=obj.object_id,
+                src=origin,
+                dst=target,
+                duration=duration,
+            )
+
+        # The transfer message itself may be lost; the drop is decided
+        # now but only *observed* after the transfer window, when the
+        # origin's runtime times out waiting for the install ack.
+        self.lost = service._transfer_lost(origin, target)
+        if duration > 0:
+            return True
+        self.arrive()
+        return False
+
+    def start_late(self, _event: Event) -> None:
+        """The object was reinstalled: start now, on a timer of its own
+        (rule (b): other events may lie between two late starters)."""
+        if self.start():
+            self.call.service.env.sleep(self.duration).callbacks.append(
+                self.arrive
+            )
+
+    def arrive(self, _event: Optional[Event] = None) -> None:
+        """End of the outbound leg: install, or turn back."""
+        call = self.call
+        service = call.service
+        obj = self.obj
+        origin = self.origin
+        target = call.target
+        duration = self.duration
+        service.active_transfers.pop(obj.object_id, None)
+
+        if self.lost or service._node_down(target):
+            # Abort: roll the object back to its origin.  The return
+            # trip costs another transfer window, then the object is
+            # reinstalled where it started, blocked callers wake there
+            # and the locator forgets the move ever happened.
+            reason = "transfer-lost" if self.lost else "node-down"
+            rspan = None
+            if service._telemetry_on:
+                rspan = service.telemetry.start_span(
+                    "rollback",
+                    node=origin,
+                    parent=self.span,
+                    detached=True,
+                    object=obj.name,
+                    reason=reason,
+                )
+            rolled_back = partial(self.rolled_back, reason, rspan)
+            if duration > 0:
+                service.env.sleep(duration).callbacks.append(rolled_back)
+            else:
+                rolled_back()
+            return
+
+        obj.install(target)
+        service.registry.arrive(obj, target)
+        if service.locator is not None:
+            service.locator.note_migration(obj, target)
+        service.migration_count += 1
+        service.total_transfer_time += duration
+        if service._telemetry_on:
+            service._m_moves.inc()
+            service._m_transfer.observe(duration)
+            service.telemetry.end_span(self.span)
+        if service.tracer.enabled:
+            service.tracer.emit(
+                service.env.now,
+                "migration.done",
+                object_id=obj.object_id,
+                src=origin,
+                dst=target,
+            )
+        call.finish(self, INSTALLED, duration)
+
+    def rolled_back(
+        self, reason: str, rspan: Optional[Span], _event: Optional[Event] = None
+    ) -> None:
+        """End of the rollback leg: reinstall at the origin."""
+        call = self.call
+        service = call.service
+        obj = self.obj
+        origin = self.origin
+        obj.install(origin)
+        service.registry.arrive(obj, origin)
+        if service.locator is not None:
+            service.locator.note_migration(obj, origin)
+        wasted = 2 * self.duration
+        service.migrations_aborted += 1
+        service.wasted_transfer_time += wasted
+        if service._telemetry_on:
+            service.telemetry.metrics.counter(
+                "migration.aborted", reason=reason
+            ).inc()
+            service.telemetry.end_span(rspan)
+            service.telemetry.end_span(self.span, status=ERROR, reason=reason)
+        if service.tracer.enabled:
+            service.tracer.emit(
+                service.env.now,
+                "migration.abort",
+                object_id=obj.object_id,
+                src=origin,
+                dst=call.target,
+                reason=reason,
+            )
+        call.finish(self, ROLLED_BACK, wasted)
 
 
 class MigrationService:
@@ -178,147 +497,6 @@ class MigrationService:
         """Transfer time for one object (M scaled by object size)."""
         return self.default_duration * obj.size
 
-    def _transfer_one(
-        self,
-        obj: DistributedObject,
-        target_node: int,
-        extra_time: float = 0.0,
-        parent: Optional[Span] = None,
-    ) -> Generator:
-        """Move a single object; returns ``(status, transfer_time)``
-        with ``status`` one of ``"moved"``, ``"already"``, ``"aborted"``.
-
-        ``parent`` is the spawning migration's span: transfers run as
-        freshly spawned processes, so the causal link must be handed
-        over explicitly (the parent's span context is per-process).
-        """
-        # Wait out any in-flight migration of this object: the request
-        # queues at the runtime and executes on reinstallation.
-        while obj.in_transit:
-            yield obj.reinstalled.wait()
-
-        if obj.fixed:
-            raise ObjectFixedError(f"{obj.name} is fixed and cannot migrate")
-
-        if obj.node_id == target_node:
-            return ("already", 0.0)
-
-        origin = obj.node_id
-        tspan = None
-        if self._telemetry_on:
-            tspan = self.telemetry.start_span(
-                "transfer",
-                node=origin,
-                parent=parent,
-                object=obj.name,
-                dst=target_node,
-            )
-
-        # Fast abort: a target known to be dead rejects the transfer at
-        # the origin runtime before the object is even linearized.
-        if self._node_down(target_node):
-            self.migrations_aborted += 1
-            if self._telemetry_on:
-                self.telemetry.metrics.counter(
-                    "migration.aborted", reason="node-down"
-                ).inc()
-                self.telemetry.end_span(
-                    tspan, status=ERROR, reason="node-down"
-                )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.env.now,
-                    "migration.abort",
-                    object_id=obj.object_id,
-                    src=origin,
-                    dst=target_node,
-                    reason="node-down",
-                )
-            return ("aborted", 0.0)
-
-        duration = self.duration_for(obj) + extra_time
-        self.registry.depart(obj)
-        obj.begin_transit()
-        self.active_transfers[obj.object_id] = (origin, target_node)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.env.now,
-                "migration.start",
-                object_id=obj.object_id,
-                src=origin,
-                dst=target_node,
-                duration=duration,
-            )
-
-        # The transfer message itself may be lost; the drop is decided
-        # now but only *observed* after the transfer window, when the
-        # origin's runtime times out waiting for the install ack.
-        lost = self._transfer_lost(origin, target_node)
-        if duration > 0:
-            yield self.env.sleep(duration)
-        self.active_transfers.pop(obj.object_id, None)
-
-        if lost or self._node_down(target_node):
-            # Abort: roll the object back to its origin.  The return
-            # trip costs another transfer window, then the object is
-            # reinstalled where it started, blocked callers wake there
-            # and the locator forgets the move ever happened.
-            reason = "transfer-lost" if lost else "node-down"
-            rspan = None
-            if self._telemetry_on:
-                rspan = self.telemetry.start_span(
-                    "rollback",
-                    node=origin,
-                    parent=tspan,
-                    object=obj.name,
-                    reason=reason,
-                )
-            if duration > 0:
-                yield self.env.sleep(duration)
-            obj.install(origin)
-            self.registry.arrive(obj, origin)
-            if self.locator is not None:
-                self.locator.note_migration(obj, origin)
-            wasted = 2 * duration
-            self.migrations_aborted += 1
-            self.wasted_transfer_time += wasted
-            if self._telemetry_on:
-                self.telemetry.metrics.counter(
-                    "migration.aborted", reason=reason
-                ).inc()
-                self.telemetry.end_span(rspan)
-                self.telemetry.end_span(tspan, status=ERROR, reason=reason)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.env.now,
-                    "migration.abort",
-                    object_id=obj.object_id,
-                    src=origin,
-                    dst=target_node,
-                    reason=reason,
-                )
-            return ("aborted", wasted)
-
-        obj.install(target_node)
-        self.registry.arrive(obj, target_node)
-        if self.locator is not None:
-            self.locator.note_migration(obj, target_node)
-        self.migration_count += 1
-        self.total_transfer_time += duration
-        if self._telemetry_on:
-            self._m_moves.inc()
-            self._m_transfer.observe(duration)
-            self.telemetry.end_span(tspan)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.env.now,
-                "migration.done",
-                object_id=obj.object_id,
-                src=origin,
-                dst=target_node,
-            )
-        return ("moved", duration)
-
     def migrate(
         self,
         objects: Iterable[DistributedObject],
@@ -396,26 +574,22 @@ class MigrationService:
             movers.append(obj)
 
         if movers:
-            procs = [
-                self.env.process(
-                    self._transfer_one(obj, target_node, extra_time, span),
-                    name=f"transfer-{obj.name}",
-                )
-                for obj in movers
-            ]
-            yield self.env.all_of(procs)
-            for obj, proc in zip(movers, procs):
-                status, transfer = proc.value
-                if status == "moved":
-                    outcome.moved.append(obj)
-                    outcome.transfer_time += transfer
-                elif status == "aborted":
-                    outcome.aborted.append(obj)
-                    outcome.wasted_transfer_time += transfer
-                else:
+            transfer = _SetTransfer(
+                self, movers, target_node, extra_time, span
+            )
+            yield transfer.done
+            for member in transfer.members:
+                state = member.state
+                if state is INSTALLED:
+                    outcome.moved.append(member.obj)
+                    outcome.transfer_time += member.wire_time
+                elif state is ALREADY:
                     # It was in transit towards (or already reached) the
                     # target when we caught up with it.
-                    outcome.already_there.append(obj)
+                    outcome.already_there.append(member.obj)
+                else:
+                    outcome.aborted.append(member.obj)
+                    outcome.wasted_transfer_time += member.wire_time
 
         outcome.elapsed = self.env.now - start
         if self.tracer.enabled:

@@ -17,18 +17,23 @@ from repro.availability.faulttolerance import (
     FaultToleranceParameters,
     run_faulttolerance_cell,
 )
-from repro.core.attachment import AttachmentMode
+from repro.core.attachment import AttachmentManager, AttachmentMode
+from repro.errors import TimeoutError
 from repro.experiments.cache import CellCache
 from repro.experiments.executor import ParallelExecutor
 from repro.experiments.figures import FIG16_BASE
 from repro.experiments.persistence import params_to_dict
+from repro.network.faults import LinkFaultModel
 from repro.replication.workload import (
     ReplicationParameters,
     run_replication_cell,
 )
+from repro.runtime.system import DistributedSystem
 from repro.sim.stopping import StoppingConfig
+from repro.sim.trace import Tracer
 from repro.workload.clientserver import run_cell
 from repro.workload.params import SimulationParameters
+from tests.test_runtime_migration_abort import StubHealth
 
 #: (policy, clients, seed) -> (mean_communication_time_per_call,
 #: mean_call_duration, mean_migration_time_per_call, simulated_time)
@@ -87,6 +92,12 @@ GOLDEN_REPLICATION = (
     "a4c6062ee3c078ebae766a7b85078671abe0e01e758e368b0a2297b36db0a0c6"
 )
 
+#: SHA-256 over ``_set_migration_under_faults``, recorded at the commit
+#: that still ran one kernel process per closure member.
+GOLDEN_SET_MIGRATION_FAULTS = (
+    "f8883d0f346a28efd564c57635cfd4cfc606882f7f0689caac13a8ca1b92f7d3"
+)
+
 #: Loose-but-quick stopping rule for the multi-cell determinism tests.
 TINY = StoppingConfig(
     relative_precision=0.3,
@@ -127,6 +138,102 @@ def _record_fingerprint(result):
     return json.dumps(dataclasses.asdict(result), sort_keys=True, default=repr)
 
 
+def _set_migration_under_faults():
+    """Movers dragging a five-member closure between four nodes over
+    lossy links while node 3 flaps, with callers blocking on members:
+    every record the tracer saw plus every outcome, as one document."""
+    tracer = Tracer()
+    system = DistributedSystem(
+        nodes=4,
+        seed=11,
+        fault_model=LinkFaultModel(loss_probability=0.25),
+        tracer=tracer,
+    )
+    env = system.env
+    health = StubHealth()
+    system.migrations.health = health
+    servers = [
+        system.create_server(node=i % 3, name=f"s{i}", size=1.0 + (i == 2))
+        for i in range(5)
+    ]
+    attachments = AttachmentManager(AttachmentMode.UNRESTRICTED)
+    for left, right in zip(servers, servers[1:]):
+        attachments.attach(left, right)
+    log = []
+
+    def flapper():
+        # Down for 9 of every 30 time units: longer than one transfer,
+        # so some members leave for a live target and arrive at a dead
+        # one (rollback) and later sets are refused outright.
+        while True:
+            yield env.timeout(21.0)
+            health.down.add(3)
+            yield env.timeout(9.0)
+            health.down.discard(3)
+
+    def mover(index, think):
+        stream = system.streams.stream(f"golden.mover.{index}")
+        while True:
+            yield env.timeout(stream.exponential(think))
+            members = attachments.closure(servers[index])
+            target = (index + int(env.now)) % 4
+            outcome = yield from system.migrations.migrate(members, target)
+            log.append(
+                (
+                    env.now,
+                    index,
+                    target,
+                    [o.name for o in outcome.moved],
+                    [o.name for o in outcome.already_there],
+                    [o.name for o in outcome.aborted],
+                    outcome.elapsed,
+                    outcome.transfer_time,
+                    outcome.wasted_transfer_time,
+                )
+            )
+
+    def caller(node):
+        stream = system.streams.stream(f"golden.caller.{node}")
+        while True:
+            yield env.timeout(stream.exponential(3.0))
+            callee = servers[int(env.now) % 5]
+            try:
+                result = yield from system.invocations.invoke(node, callee)
+            except TimeoutError as exc:
+                log.append((env.now, "timeout", node, str(exc)))
+            else:
+                log.append(
+                    (env.now, "call", node, result.duration, result.blocked_time)
+                )
+
+    env.process(flapper())
+    for index, think in ((0, 5.0), (2, 8.0), (4, 13.0)):
+        env.process(mover(index, think))
+    for node in range(3):
+        env.process(caller(node))
+    system.run(until=400.0)
+    migrations = system.migrations
+    assert migrations.migration_count > 50
+    assert migrations.migrations_aborted > 10
+    reasons = {
+        r.detail["reason"] for r in tracer.records if r.kind == "migration.abort"
+    }
+    assert reasons == {"transfer-lost", "node-down"}
+    document = {
+        "trace": [(r.time, r.kind, r.detail) for r in tracer.records],
+        "log": log,
+        "placement": [(o.name, o.node_id, o.migration_count) for o in servers],
+        "counters": [
+            migrations.migration_count,
+            migrations.total_transfer_time,
+            migrations.migrations_aborted,
+            migrations.wasted_transfer_time,
+            env.now,
+        ],
+    }
+    return json.dumps(document, sort_keys=True)
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -160,6 +267,11 @@ class TestGoldenMetrics:
             ReplicationParameters(seed=2), stopping=StoppingConfig.fast()
         )
         assert _sha(_record_fingerprint(result)) == GOLDEN_REPLICATION
+
+    def test_set_migration_under_faults_bit_identical(self):
+        assert (
+            _sha(_set_migration_under_faults()) == GOLDEN_SET_MIGRATION_FAULTS
+        )
 
     def test_repeated_runs_identical(self):
         params = SimulationParameters(policy="placement", clients=5, seed=3)

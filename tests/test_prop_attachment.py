@@ -110,3 +110,64 @@ def test_detach_all_isolates(edge_list):
     assert mgr.closure(victim) == [victim]
     for obj in objs[1:]:
         assert victim not in mgr.closure(obj)
+
+
+def reference_closure(mgr, obj, context=None):
+    """The unmemoized breadth-first closure, over the manager's edges."""
+    restrict = context is not None and mgr.mode is AttachmentMode.A_TRANSITIVE
+    seen = {obj.object_id}
+    frontier = [obj.object_id]
+    while frontier:
+        current = frontier.pop(0)
+        for nbr, ctx in mgr._adjacency.get(current, ()):
+            if restrict and ctx != context:
+                continue
+            if nbr not in seen:
+                seen.add(nbr)
+                frontier.append(nbr)
+    return sorted(seen)
+
+
+object_ids = st.integers(min_value=0, max_value=N_OBJECTS - 1)
+contexts = st.one_of(st.none(), st.integers(min_value=1, max_value=3))
+
+#: Random edit scripts; a ``query`` reads closures between mutations so
+#: the memo is populated when the next mutation has to invalidate it.
+edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("attach"), object_ids, object_ids, contexts),
+        st.tuples(st.just("detach"), object_ids, object_ids, contexts),
+        st.tuples(st.just("detach_all"), object_ids),
+        st.tuples(st.just("query"), object_ids, contexts),
+    ),
+    max_size=60,
+)
+
+
+@given(st.sampled_from(list(AttachmentMode)), edits)
+def test_memoized_closure_equals_reference_under_edits(mode, script):
+    mgr, objs = build(mode, [])
+
+    def check(obj, context):
+        first = mgr.closure(obj, context=context)
+        assert [o.object_id for o in first] == reference_closure(
+            mgr, obj, context
+        )
+        # A hit returns the same members in a list of the caller's own.
+        again = mgr.closure(obj, context=context)
+        assert again == first and again is not first
+        first.clear()
+        assert mgr.closure(obj, context=context) == again
+
+    for step in script:
+        if step[0] == "attach" and step[1] != step[2]:
+            mgr.attach(objs[step[1]], objs[step[2]], context=step[3])
+        elif step[0] == "detach":
+            mgr.detach(objs[step[1]], objs[step[2]], context=step[3])
+        elif step[0] == "detach_all":
+            mgr.detach_all(objs[step[1]])
+        elif step[0] == "query":
+            check(objs[step[1]], step[2])
+    for obj in objs:
+        for context in (None, 1, 2, 3):
+            check(obj, context)
