@@ -85,15 +85,22 @@ test-wal:
 	  tests/test_live_wal.py tests/test_prop_wal.py \
 	  tests/test_live_recovery.py
 
+# The trusted end-to-end suite BENCHMARK.json declares (five fixed-work
+# workloads, per-layer metrics).  The pytest-benchmark figure harness is
+# bench-full; the kernel micro-benches are bench-kernel.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) benchmarks/suite/run.py
 
 bench-output:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	$(PYTHON) benchmarks/suite/run.py 2>&1 | tee bench_output.txt
 
 # Kernel microbenchmarks only, with machine-readable results at the repo
-# root (BENCH_kernel.json).
+# root (BENCH_kernel.json).  Like `run.py --record`, refuses a dirty (or
+# unknown) git tree: a recorded number must name the commit it measured.
 bench-kernel:
+	@status=$$(git status --porcelain) && test -z "$$status" || { \
+	  echo "bench-kernel: BENCH_kernel.json needs a clean git tree;" \
+	    "commit or stash first" >&2; exit 1; }
 	$(PYTHON) -m pytest benchmarks/bench_kernel.py --benchmark-only \
 	  --benchmark-json=BENCH_kernel.json
 

@@ -32,50 +32,58 @@ Quickstart::
     print(result.mean_communication_time_per_call)
 """
 
+from repro._exports import lazy_exports
 from repro._version import __version__
-from repro.core import LockManager, LeaseSweeper
-from repro.core import (
-    Alliance,
-    AllianceManager,
-    AttachmentManager,
-    AttachmentMode,
-    ComparingNodes,
-    ComparingReinstantiation,
-    ConventionalMigration,
-    CostParameters,
-    MigrationPolicy,
-    MigrationPrimitives,
-    MoveBlock,
-    MoveScope,
-    POLICIES,
-    SedentaryPolicy,
-    TransientPlacement,
-    VisitScope,
-    make_policy,
-)
-from repro.errors import FaultError, ReproError
-from repro.network import LinkFaultModel
-from repro.experiments import (
-    ExperimentDef,
-    ExperimentResult,
-    FIGURES,
-    make_figure,
-    run_figure,
-)
-from repro.runtime import (
-    DistributedObject,
-    DistributedSystem,
-    Node,
-    ObjectKind,
-    RetryPolicy,
-)
-from repro.sim import Environment, RandomStreams, StoppingConfig
-from repro.workload import (
-    ClientServerWorkload,
-    LayeredWorkload,
-    SimulationParameters,
-    WorkloadResult,
-    run_cell,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "Alliance",
+            "AllianceManager",
+            "AttachmentManager",
+            "AttachmentMode",
+            "ComparingNodes",
+            "ComparingReinstantiation",
+            "ConventionalMigration",
+            "CostParameters",
+            "LeaseSweeper",
+            "LockManager",
+            "MigrationPolicy",
+            "MigrationPrimitives",
+            "MoveBlock",
+            "MoveScope",
+            "POLICIES",
+            "SedentaryPolicy",
+            "TransientPlacement",
+            "VisitScope",
+            "make_policy",
+        ),
+        ".errors": ("FaultError", "ReproError"),
+        ".network": ("LinkFaultModel",),
+        ".experiments": (
+            "ExperimentDef",
+            "ExperimentResult",
+            "FIGURES",
+            "make_figure",
+            "run_figure",
+        ),
+        ".runtime": (
+            "DistributedObject",
+            "DistributedSystem",
+            "Node",
+            "ObjectKind",
+            "RetryPolicy",
+        ),
+        ".sim": ("Environment", "RandomStreams", "StoppingConfig"),
+        ".workload": (
+            "ClientServerWorkload",
+            "LayeredWorkload",
+            "SimulationParameters",
+            "WorkloadResult",
+            "run_cell",
+        ),
+    },
 )
 
 __all__ = [

@@ -7,41 +7,48 @@ group of related objects.  See
 ``benchmarks/bench_outlook_availability.py``.
 """
 
-from repro.availability.chaos import (
-    SCENARIOS,
-    ChaosCampaign,
-    ChaosCampaignParameters,
-    ChaosCampaignResult,
-    ChaosOrchestrator,
-    ChaosScenario,
-    CrashDuringDeploy,
-    CrashDuringMigration,
-    CrashStorm,
-    FlappingLink,
-    RollingPartition,
-    run_chaos_campaign,
-)
-from repro.availability.faults import FaultInjector
-from repro.availability.livechaos import (
-    LiveChaosSchedule,
-    LiveCrash,
-    LiveFaultWindow,
-    LivePartition,
-    demo_schedule,
-)
-from repro.availability.faulttolerance import (
-    FT_DETECTION_MODES,
-    FT_POLICIES,
-    FaultToleranceParameters,
-    FaultToleranceResult,
-    FaultToleranceWorkload,
-    run_faulttolerance_cell,
-)
-from repro.availability.workload import (
-    AvailabilityParameters,
-    AvailabilityResult,
-    AvailabilityWorkload,
-    run_availability_cell,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".chaos": (
+            "SCENARIOS",
+            "ChaosCampaign",
+            "ChaosCampaignParameters",
+            "ChaosCampaignResult",
+            "ChaosOrchestrator",
+            "ChaosScenario",
+            "CrashDuringDeploy",
+            "CrashDuringMigration",
+            "CrashStorm",
+            "FlappingLink",
+            "RollingPartition",
+            "run_chaos_campaign",
+        ),
+        ".faults": ("FaultInjector",),
+        ".livechaos": (
+            "LiveChaosSchedule",
+            "LiveCrash",
+            "LiveFaultWindow",
+            "LivePartition",
+            "demo_schedule",
+        ),
+        ".faulttolerance": (
+            "FT_DETECTION_MODES",
+            "FT_POLICIES",
+            "FaultToleranceParameters",
+            "FaultToleranceResult",
+            "FaultToleranceWorkload",
+            "run_faulttolerance_cell",
+        ),
+        ".workload": (
+            "AvailabilityParameters",
+            "AvailabilityResult",
+            "AvailabilityWorkload",
+            "run_availability_cell",
+        ),
+    },
 )
 
 __all__ = [

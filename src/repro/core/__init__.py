@@ -9,42 +9,49 @@
 * the §3.2 analytic cost model (:mod:`.costmodel`)
 """
 
-from repro.core.alliance import Alliance, AllianceManager
-from repro.core.attachment import (
-    GLOBAL_CONTEXT,
-    AttachmentManager,
-    AttachmentMode,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".alliance": ("Alliance", "AllianceManager"),
+        ".attachment": (
+            "GLOBAL_CONTEXT",
+            "AttachmentManager",
+            "AttachmentMode",
+        ),
+        ".costmodel": (
+            "CostParameters",
+            "cost_conventional_worst_case",
+            "cost_no_migration",
+            "cost_placement_concurrent",
+            "migration_break_even_clients",
+            "placement_advantage",
+        ),
+        ".distribution": (
+            "AnchorToMember",
+            "CollocateMembers",
+            "DistributionPolicy",
+            "SpreadMembers",
+        ),
+        ".gom": ("OperationDeclaration", "OperationOutcome"),
+        ".locking": ("LeaseSweeper", "LockManager"),
+        ".moveblock": ("MoveBlock",),
+        ".policies": (
+            "POLICIES",
+            "ComparingNodes",
+            "ComparingReinstantiation",
+            "ConventionalMigration",
+            "MigrationPolicy",
+            "SedentaryPolicy",
+            "ThrashingGuard",
+            "TransientPlacement",
+            "make_policy",
+        ),
+        ".primitives": ("MigrationPrimitives", "MoveScope", "VisitScope"),
+        ".proxy": ("Proxy", "ProxyTable"),
+    },
 )
-from repro.core.costmodel import (
-    CostParameters,
-    cost_conventional_worst_case,
-    cost_no_migration,
-    cost_placement_concurrent,
-    migration_break_even_clients,
-    placement_advantage,
-)
-from repro.core.distribution import (
-    AnchorToMember,
-    CollocateMembers,
-    DistributionPolicy,
-    SpreadMembers,
-)
-from repro.core.gom import OperationDeclaration, OperationOutcome
-from repro.core.locking import LeaseSweeper, LockManager
-from repro.core.moveblock import MoveBlock
-from repro.core.policies import (
-    POLICIES,
-    ComparingNodes,
-    ComparingReinstantiation,
-    ConventionalMigration,
-    MigrationPolicy,
-    SedentaryPolicy,
-    ThrashingGuard,
-    TransientPlacement,
-    make_policy,
-)
-from repro.core.primitives import MigrationPrimitives, MoveScope, VisitScope
-from repro.core.proxy import Proxy, ProxyTable
 
 __all__ = [
     "Alliance",

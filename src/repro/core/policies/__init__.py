@@ -1,13 +1,20 @@
 """Migration policies: the interpretations of move/end requests."""
 
-from repro.core.policies.base import MigrationPolicy
-from repro.core.policies.comparing import ComparingNodes
-from repro.core.policies.conventional import ConventionalMigration
-from repro.core.policies.guard import ThrashingGuard
-from repro.core.policies.placement import TransientPlacement
-from repro.core.policies.registry import GUARD_PREFIX, POLICIES, make_policy
-from repro.core.policies.reinstantiation import ComparingReinstantiation
-from repro.core.policies.sedentary import SedentaryPolicy
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("MigrationPolicy",),
+        ".comparing": ("ComparingNodes",),
+        ".conventional": ("ConventionalMigration",),
+        ".guard": ("ThrashingGuard",),
+        ".placement": ("TransientPlacement",),
+        ".registry": ("GUARD_PREFIX", "POLICIES", "make_policy"),
+        ".reinstantiation": ("ComparingReinstantiation",),
+        ".sedentary": ("SedentaryPolicy",),
+    },
+)
 
 __all__ = [
     "ComparingNodes",

@@ -1,42 +1,34 @@
 """Network substrate: topologies, latency models, message accounting,
 link fault injection."""
 
-from repro.network.faults import LinkFaultModel
-from repro.network.latency import (
-    DeterministicLatency,
-    LatencyModel,
-    NormalizedExponentialLatency,
-    PerHopExponentialLatency,
-    ShiftedExponentialLatency,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".faults": ("LinkFaultModel",),
+        ".latency": (
+            "DeterministicLatency",
+            "LatencyModel",
+            "NormalizedExponentialLatency",
+            "PerHopExponentialLatency",
+            "ShiftedExponentialLatency",
+        ),
+        ".network": ("Network",),
+        ".shardrouter": ("ShardRouter",),
+        ".simbackend": ("SimTransport",),
+        ".topology": (
+            "TOPOLOGIES",
+            "FullyConnected",
+            "Grid",
+            "Line",
+            "Ring",
+            "Star",
+            "Topology",
+            "make_topology",
+        ),
+    },
 )
-from repro.network.network import Network
-from repro.network.topology import (
-    TOPOLOGIES,
-    FullyConnected,
-    Grid,
-    Line,
-    Ring,
-    Star,
-    Topology,
-    make_topology,
-)
-
-def __getattr__(name):
-    # ShardRouter sits atop the sharded-kernel package, which imports
-    # most of the runtime (and, transitively, this package); loading it
-    # lazily keeps ``import repro.network`` cycle-free.  SimTransport
-    # pulls in the runtime's Transport ABC and is deferred for the same
-    # reason.
-    if name == "ShardRouter":
-        from repro.network.shardrouter import ShardRouter
-
-        return ShardRouter
-    if name == "SimTransport":
-        from repro.network.simbackend import SimTransport
-
-        return SimTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "DeterministicLatency",

@@ -4,26 +4,33 @@ Nodes, mobile objects, proxy-style invocation forwarding, and the
 linearize–transfer–reinstall migration mechanism (§3.1's system model).
 """
 
-from repro.runtime.clock import Clock, SimClock, WallClock
-from repro.runtime.failure import FailureDetector, HeartbeatHistory
-from repro.runtime.invocation import InvocationResult, InvocationService
-from repro.runtime.locator import (
-    LOCATORS,
-    BroadcastLocator,
-    ForwardingLocator,
-    ImmediateUpdateLocator,
-    Locator,
-    NameServerLocator,
-    make_locator,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".clock": ("Clock", "SimClock", "WallClock"),
+        ".failure": ("FailureDetector", "HeartbeatHistory"),
+        ".invocation": ("InvocationResult", "InvocationService"),
+        ".locator": (
+            "LOCATORS",
+            "BroadcastLocator",
+            "ForwardingLocator",
+            "ImmediateUpdateLocator",
+            "Locator",
+            "NameServerLocator",
+            "make_locator",
+        ),
+        ".messages": ("Message", "MessageKind"),
+        ".migration": ("MigrationOutcome", "MigrationService"),
+        ".node": ("Node",),
+        ".objects": ("DistributedObject", "MobilityState", "ObjectKind"),
+        ".registry": ("ObjectRegistry",),
+        ".retry": ("RandomJitter", "RetryPolicy"),
+        ".system": ("DistributedSystem",),
+        ".transport": ("Transport",),
+    },
 )
-from repro.runtime.messages import Message, MessageKind
-from repro.runtime.migration import MigrationOutcome, MigrationService
-from repro.runtime.node import Node
-from repro.runtime.objects import DistributedObject, MobilityState, ObjectKind
-from repro.runtime.registry import ObjectRegistry
-from repro.runtime.retry import RandomJitter, RetryPolicy
-from repro.runtime.system import DistributedSystem
-from repro.runtime.transport import Transport
 
 __all__ = [
     "BroadcastLocator",

@@ -9,28 +9,31 @@ same lock/lease protocol as the sim (:mod:`~repro.runtime.live.node`),
 and a supervisor with heartbeat failure detection, crash restart, and
 lease recovery (:mod:`~repro.runtime.live.supervisor`).
 
-Imports here stay lazy-free and asyncio-only so the sim path never pays
-for the live backend: nothing in ``repro.sim`` or ``repro.runtime``
-core imports this package.
+Nothing in ``repro.sim`` or ``repro.runtime`` core imports this
+package, so the sim path never pays for the live backend; and the
+export table below resolves on first access, so a live process loads
+only the modules it uses (no numpy, no sim streams, no experiments).
 """
 
-from repro.runtime.live.framing import (
-    DEFAULT_MAX_PAYLOAD,
-    PREFIX_SIZE,
-    FrameDecoder,
-    encode_frame,
-)
-from repro.runtime.live.transport import (
-    DEFAULT_CONNECT_RETRY,
-    AsyncioTransport,
-    FaultyTransport,
-    unix_supported,
-)
-from repro.runtime.live.wire import (
-    SUPERVISOR,
-    DedupIndex,
-    Envelope,
-    EnvelopeFactory,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".framing": (
+            "DEFAULT_MAX_PAYLOAD",
+            "PREFIX_SIZE",
+            "FrameDecoder",
+            "encode_frame",
+        ),
+        ".transport": (
+            "DEFAULT_CONNECT_RETRY",
+            "AsyncioTransport",
+            "FaultyTransport",
+            "unix_supported",
+        ),
+        ".wire": ("SUPERVISOR", "DedupIndex", "Envelope", "EnvelopeFactory"),
+    },
 )
 
 __all__ = [

@@ -38,12 +38,11 @@ from typing import Any, Dict, Optional
 
 from repro.availability.livechaos import LiveChaosSchedule, demo_schedule
 from repro.core.locking import LockManager
+from repro.core.moveblock import MoveBlock
 from repro.errors import SupervisionError
 from repro.runtime.live.node import LiveObject
 from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
 from repro.runtime.live.wire import SUPERVISOR
-from repro.sim.kernel import Environment
-from repro.sim.rng import RandomStreams
 from repro.telemetry.core import Telemetry
 from repro.telemetry.live import (
     TelemetryHub,
@@ -64,6 +63,11 @@ def simulate_analog(
     window), aborting the block.  Rates are per move attempt, the same
     denominators the live report uses.
     """
+    # Imported here, not at module level: the supervisor child imports
+    # this module too, and a live process must not load numpy.
+    from repro.sim.kernel import Environment
+    from repro.sim.rng import RandomStreams
+
     env = Environment()
     streams = RandomStreams(config.rng_seed)
     locks = LockManager(env=env, lease_duration=config.lease_duration)
@@ -75,8 +79,6 @@ def simulate_analog(
 
     def mover(node_id: int):
         stream = streams.stream(f"live.mover.{node_id}")
-        from repro.core.moveblock import MoveBlock
-
         for _ in range(rounds_per_node):
             record = records[int(stream.uniform() * config.num_objects)]
             counters["attempts"] += 1

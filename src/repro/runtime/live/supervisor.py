@@ -288,6 +288,14 @@ class NodeSupervisor:
         self.worker_pids: Dict[int, int] = {}
         self._mp = multiprocessing.get_context("spawn")
         self._restarting: Set[int] = set()
+        #: node id -> event the next HEARTBEAT from that node sets.
+        self._heartbeats: Dict[int, asyncio.Event] = {}
+        #: Placements this incarnation committed: central PLACE commits
+        #: and home-mode PLACE_NOTICE mirrors.
+        self.commits = 0
+        #: Set by every commit from the ``target_migrations``-th on;
+        #: the run loop's stop check wakes on it.
+        self._commit_wake = asyncio.Event()
         # Run ledger.
         self.restarts = 0
         self.crashes_seen = 0
@@ -504,6 +512,9 @@ class NodeSupervisor:
             pid = envelope.payload.get("pid")
             if pid:
                 self.worker_pids[envelope.src] = pid
+            beat = self._heartbeats.pop(envelope.src, None)
+            if beat is not None:
+                beat.set()
             if self._clock_sync is not None:
                 sample = envelope.payload.get("clock")
                 if sample is not None:
@@ -540,6 +551,7 @@ class NodeSupervisor:
             self.placement[envelope.payload["object_id"]] = envelope.payload[
                 "node"
             ]
+            self._count_commit()
             await self.transport.reply(envelope, {"ok": True})
         elif kind == LOCATE:
             oid = envelope.payload["object_id"]
@@ -658,9 +670,16 @@ class NodeSupervisor:
             transfer.state = "placed"
             self.placement[transfer.object_id] = transfer.dst
             self._notify(transfer.src, EVICT, transfer)
+            self._count_commit()
         if span is not None:
             self.telemetry.end_span(span, ok=ok)
         await self.transport.reply(envelope, {"ok": ok})
+
+    def _count_commit(self) -> None:
+        """Count one committed placement; wake the stop check at target."""
+        self.commits += 1
+        if self.commits >= self.config.target_migrations:
+            self._commit_wake.set()
 
     async def _serve_rollback(self, envelope: Envelope) -> None:
         """Abort a transfer: the source's held-back copy is restored."""
@@ -881,6 +900,15 @@ class NodeSupervisor:
             except (TimeoutError, ConnectionLostError):
                 pass  # peer mid-crash: its own restart will re-settle
         self.leases_broken_total += broken
+        # The homes just failed every pending transfer out of the dead
+        # node, but a mover may still be reconnecting to its address to
+        # pull one.  A successor listening there in time would serve
+        # that stale pull from its re-seeded copy, the mover's PLACE
+        # would be fenced, and the copy would stay in transit for good:
+        # the audit reconciles only transfers this supervisor granted.
+        # So the successor binds the address only once every such send
+        # has given up.
+        quiet_until = self.clock.deadline(self.transport.reconnect_horizon)
         # 2. If the dead node was home for slices, reassign them from
         #    WAL-mirrored ownership reconciled against live inventories.
         dead_slices = sorted(
@@ -892,6 +920,7 @@ class NodeSupervisor:
         #    respawn re-seeds exactly what the fleet says is the dead
         #    node's (placement-wise) and nothing else.
         await self._sync_placement_mirror(live)
+        await asyncio.sleep(max(0.0, quiet_until - self.clock.now()))
         await self._respawn(node_id)
 
     async def _reassign_slices(
@@ -1052,18 +1081,15 @@ class NodeSupervisor:
     async def _wait_for_heartbeat(
         self, node_id: int, timeout: float = 10.0
     ) -> None:
-        # ensure() at spawn stamps the node with the spawn time; only a
-        # heartbeat actually received moves ``last`` past that baseline.
-        baseline = self.history.last(node_id)
-        deadline = self.clock.deadline(timeout)
-        while not self.clock.expired(deadline):
-            last = self.history.last(node_id)
-            if last is not None and (baseline is None or last > baseline):
-                return
-            await asyncio.sleep(self.config.heartbeat_interval / 2)
-        raise TimeoutError(
-            f"worker {node_id} sent no heartbeat within {timeout}s of spawn"
-        )
+        """Return on the first HEARTBEAT ``handle`` records after the call."""
+        beat = self._heartbeats.setdefault(node_id, asyncio.Event())
+        try:
+            await asyncio.wait_for(beat.wait(), timeout)
+        except asyncio.TimeoutError:
+            raise TimeoutError(
+                f"worker {node_id} sent no heartbeat within {timeout}s "
+                f"of spawn"
+            ) from None
 
     # -- chaos ----------------------------------------------------------------
 
@@ -1702,7 +1728,15 @@ class NodeSupervisor:
         deadline = started_at + self.config.max_duration
         try:
             while self.clock.now() < deadline:
-                await asyncio.sleep(0.25)
+                # Wake on the target-th commit (and each one after it,
+                # while the workers' own counts lag the commits); the
+                # 0.25 s timeout is only the fallback for chaos
+                # completion, restarts and the deadline.
+                try:
+                    await asyncio.wait_for(self._commit_wake.wait(), 0.25)
+                except asyncio.TimeoutError:
+                    pass
+                self._commit_wake.clear()
                 if (
                     chaos.done()
                     and not self._restarting
@@ -1754,16 +1788,21 @@ class NodeSupervisor:
         return report
 
     async def _shutdown_workers(self) -> None:
-        for node_id in self.worker_ids:
+        async def shutdown(node_id: int) -> None:
             try:
                 await self.transport.request(
                     node_id, SHUTDOWN, timeout=self.config.request_timeout
                 )
             except Exception:
                 pass
+
+        await asyncio.gather(*(shutdown(w) for w in self.worker_ids))
         loop = asyncio.get_running_loop()
-        for process in self.processes.values():
-            await loop.run_in_executor(None, process.join, 5.0)
+        processes = list(self.processes.values())
+        await asyncio.gather(
+            *(loop.run_in_executor(None, p.join, 5.0) for p in processes)
+        )
+        for process in processes:
             if process.is_alive():
                 process.kill()
         # Orphans adopted after a recovery have no handles — wait on

@@ -152,6 +152,20 @@ class AsyncioTransport(Transport):
     def size(self) -> int:
         return len(self.peers)
 
+    @property
+    def reconnect_horizon(self) -> float:
+        """Longest a send keeps trying to reach an unreachable peer.
+
+        One resend backoff in :meth:`_raw_send` plus every backoff of
+        :meth:`_connect` (jitter only shortens them; a refused connect
+        returns at once).  A process that binds a dead peer's address
+        this long after a send to it began never receives that send.
+        """
+        retry = self.retry
+        return retry.envelope(0) + sum(
+            retry.envelope(k) for k in range(retry.max_attempts - 1)
+        )
+
     def transmit(self, src: int, dst: int, **kwargs):
         """Seam-named alias: a coroutine sending one data envelope."""
         if src != self.node_id:
@@ -313,8 +327,8 @@ class AsyncioTransport(Transport):
                 )
             try:
                 writer = await self._connect(dst)
-                lock = self._write_locks.setdefault(dst, asyncio.Lock())
-                async with lock:
+                # _connect registered this writer's lock.
+                async with self._write_locks[dst]:
                     writer.write(frame)
                     await writer.drain()
                 self.remote_messages += 1

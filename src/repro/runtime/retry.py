@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.runtime.clock import Clock
-from repro.sim.rng import Stream
+
+if TYPE_CHECKING:  # the live backend passes RandomJitter; no numpy needed
+    from repro.sim.rng import Stream
 
 
 class RandomJitter:

@@ -19,31 +19,38 @@ Quick example::
     env.run(until=100)
 """
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Sleep,
-    Timeout,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".events": (
+            "AllOf",
+            "AnyOf",
+            "Condition",
+            "ConditionValue",
+            "Event",
+            "Sleep",
+            "Timeout",
+        ),
+        ".kernel": ("Environment", "Infinity"),
+        ".monitor": ("StateMonitor",),
+        ".process": ("Process",),
+        ".resources": ("Resource", "Store", "Waiters"),
+        ".rng": ("RandomStreams", "Stream"),
+        ".stats": (
+            "BatchMeans",
+            "RunningStats",
+            "TimeWeightedStats",
+            "normal_ppf",
+            "regularized_incomplete_beta",
+            "student_t_cdf",
+            "student_t_ppf",
+        ),
+        ".stopping": ("PrecisionStopping", "StoppingConfig"),
+        ".trace": ("NULL_TRACER", "NullTracer", "TraceRecord", "Tracer"),
+    },
 )
-from repro.sim.kernel import Environment, Infinity
-from repro.sim.monitor import StateMonitor
-from repro.sim.process import Process
-from repro.sim.resources import Resource, Store, Waiters
-from repro.sim.rng import RandomStreams, Stream
-from repro.sim.stats import (
-    BatchMeans,
-    RunningStats,
-    TimeWeightedStats,
-    normal_ppf,
-    regularized_incomplete_beta,
-    student_t_cdf,
-    student_t_ppf,
-)
-from repro.sim.stopping import PrecisionStopping, StoppingConfig
-from repro.sim.trace import NULL_TRACER, NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",

@@ -130,9 +130,12 @@ class Environment:
         the per-interval delta of this value, and the disabled-telemetry
         path is untouched by construction.
         """
-        # count.__reduce__() -> (count, (next_value,)): the next id to
-        # be handed out equals the number of ids consumed so far.
-        return self._eid.__reduce__()[1][0]
+        # The next id to be handed out equals the number of ids consumed
+        # so far.  Draw it and re-seat the allocator at that same value,
+        # so no id is skipped (every caller reads ``env._eid`` afresh).
+        consumed = next(self._eid)
+        self._eid = count(consumed)
+        return consumed
 
     # -- event factories ------------------------------------------------------
 

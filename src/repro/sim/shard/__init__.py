@@ -28,32 +28,19 @@ Layout
     entry point and the merged result.
 """
 
-from repro.sim.shard.messages import RemoteCall, RemoteReply, WindowBatch
-from repro.sim.shard.partition import ShardPlan
+from repro._exports import lazy_exports
 
-#: Lazily imported names -> defining submodule.  The heavier modules
-#: (kernel, sync, runner) pull in most of the runtime — and the
-#: :class:`~repro.network.shardrouter.ShardRouter` imports *this*
-#: package for the message records, so eager imports here would cycle.
-_LAZY = {
-    "ConservativeWindowSync": "repro.sim.shard.sync",
-    "LocalShardHost": "repro.sim.shard.sync",
-    "ProcessShardHost": "repro.sim.shard.mp",
-    "ShardKernel": "repro.sim.shard.kernel",
-    "ShardedResult": "repro.sim.shard.runner",
-    "merge_traces": "repro.sim.shard.runner",
-    "run_sharded_cell": "repro.sim.shard.runner",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".kernel": ("ShardKernel",),
+        ".messages": ("RemoteCall", "RemoteReply", "WindowBatch"),
+        ".mp": ("ProcessShardHost",),
+        ".partition": ("ShardPlan",),
+        ".runner": ("ShardedResult", "merge_traces", "run_sharded_cell"),
+        ".sync": ("ConservativeWindowSync", "LocalShardHost"),
+    },
+)
 
 __all__ = [
     "ConservativeWindowSync",

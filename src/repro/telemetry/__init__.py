@@ -20,40 +20,47 @@ crash flight recorder, clock-offset estimation, and a
 process's files into one Perfetto trace on real pid lanes.
 """
 
-from repro.telemetry.core import (
-    NULL_SPAN,
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    span_context,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "NULL_SPAN",
+            "NULL_TELEMETRY",
+            "NullTelemetry",
+            "Telemetry",
+            "span_context",
+        ),
+        ".export": (
+            "export_run",
+            "summary_table",
+            "to_chrome_trace",
+            "write_chrome_trace",
+            "write_metrics_jsonl",
+            "write_spans_jsonl",
+        ),
+        ".metrics": (
+            "DEFAULT_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullMetricsRegistry",
+        ),
+        ".live": (
+            "ClockSync",
+            "FlightRecorder",
+            "ProcessTelemetryWriter",
+            "TelemetryHub",
+            "clean_telemetry_dir",
+            "load_flight_dump",
+            "process_id_base",
+        ),
+        ".spans": ("ERROR", "OK", "OPEN", "Span"),
+        ".validate": ("validate_chrome_trace",),
+    },
 )
-from repro.telemetry.export import (
-    export_run,
-    summary_table,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_metrics_jsonl,
-    write_spans_jsonl,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from repro.telemetry.live import (
-    ClockSync,
-    FlightRecorder,
-    ProcessTelemetryWriter,
-    TelemetryHub,
-    clean_telemetry_dir,
-    load_flight_dump,
-    process_id_base,
-)
-from repro.telemetry.spans import ERROR, OK, OPEN, Span
-from repro.telemetry.validate import validate_chrome_trace
 
 __all__ = [
     "Telemetry",

@@ -1,5 +1,9 @@
 """Tests for the exception hierarchy and the public API surface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -137,22 +141,69 @@ class TestPublicApi:
             assert module.__doc__, f"{module.__name__} lacks a docstring"
 
     def test_sub_all_exports_resolve(self):
+        import repro.availability
         import repro.core
+        import repro.core.policies
         import repro.experiments
         import repro.network
         import repro.replication
         import repro.runtime
+        import repro.runtime.live
         import repro.sim
+        import repro.sim.shard
+        import repro.telemetry
         import repro.workload
 
         for module in (
+            repro,
+            repro.availability,
             repro.core,
+            repro.core.policies,
             repro.experiments,
             repro.network,
             repro.replication,
             repro.runtime,
+            repro.runtime.live,
             repro.sim,
+            repro.sim.shard,
+            repro.telemetry,
             repro.workload,
         ):
+            assert set(module.__all__) <= set(dir(module)), module.__name__
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_unknown_export_raises_attribute_error(self):
+        import repro.sim
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.sim.no_such_name
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.runtime.live.node",
+            "repro.runtime.live.supervisor",
+            "repro.runtime.live.demo",
+        ],
+    )
+    def test_live_modules_load_no_sim_or_experiment_stack(self, module):
+        # A fresh interpreter, as every spawned live process is: the
+        # package __init__s are export tables, so importing a live
+        # module must not drag in numpy, the sim streams or the
+        # experiment and versioning harnesses.
+        heavy = ["numpy", "repro.sim.rng", "repro.experiments",
+                 "repro.versioning"]
+        code = (
+            f"import sys, {module}\n"
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        assert loaded == "", f"{module} loaded {loaded}"

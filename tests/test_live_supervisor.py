@@ -8,9 +8,11 @@ violations.  The whole scenario runs under a hard wall-clock timeout
 so CI cannot hang on a wedged worker.
 
 Pure-logic pieces (config/schedule validation, the sim analog, the
-loss estimator) are tested alongside without any processes.
+loss estimator, the supervisor's event-driven phase wake-ups) are
+tested alongside without any processes.
 """
 
+import asyncio
 import multiprocessing
 import os
 import signal
@@ -28,9 +30,20 @@ from repro.runtime.live.demo import (
     estimate_transfer_loss,
     format_report,
     run_live_demo,
+    run_supervised,
     simulate_analog,
 )
-from repro.runtime.live.supervisor import SupervisorConfig
+from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
+from repro.runtime.live.wire import (
+    BREAK_HOMED,
+    HEARTBEAT,
+    MOVE_REQUEST,
+    PLACE,
+    PLACE_NOTICE,
+    SUPERVISOR,
+    Envelope,
+)
+from repro.runtime.retry import RetryPolicy
 
 #: Hard ceiling for the full multi-process scenario.
 SMOKE_TIMEOUT = 120
@@ -46,29 +59,38 @@ def _run_demo_in_child(queue):
     queue.put(run_live_demo(config))
 
 
+def _run_first_migration_in_child(queue):
+    config = SupervisorConfig(
+        num_nodes=3, num_objects=12, target_migrations=1, max_duration=20.0
+    )
+    queue.put(run_supervised(config))
+
+
+def _watched(target):
+    """Run ``target(queue)`` in a child; its report, or fail on timeout.
+
+    A wedged event loop is killed by the watchdog join instead of
+    hanging pytest.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    queue = ctx.Queue()
+    runner = ctx.Process(target=target, args=(queue,))
+    runner.start()
+    try:
+        return queue.get(timeout=SMOKE_TIMEOUT)
+    except Exception:
+        runner.terminate()
+        pytest.fail(f"{target.__name__} did not finish within {SMOKE_TIMEOUT}s")
+    finally:
+        runner.join(10)
+        if runner.is_alive():
+            os.kill(runner.pid, signal.SIGKILL)
+
+
 class TestLiveSmoke:
     def test_demo_survives_crash_and_partition(self):
-        """The ISSUE acceptance scenario, wall-clock bounded.
-
-        The demo runs in a child process so a wedged event loop is
-        killed by the watchdog join instead of hanging pytest.
-        """
-        ctx = multiprocessing.get_context("spawn")
-        queue = ctx.Queue()
-        runner = ctx.Process(target=_run_demo_in_child, args=(queue,))
-        runner.start()
-        try:
-            report = queue.get(timeout=SMOKE_TIMEOUT)
-        except Exception:
-            runner.terminate()
-            pytest.fail(
-                f"live demo did not finish within {SMOKE_TIMEOUT}s"
-            )
-        finally:
-            runner.join(10)
-            if runner.is_alive():
-                os.kill(runner.pid, signal.SIGKILL)
-
+        """The ISSUE acceptance scenario, wall-clock bounded."""
+        report = _watched(_run_demo_in_child)
         measured = report["measured"]
         assert measured["workers"] == 3
         assert measured["objects"] == 120
@@ -88,6 +110,131 @@ class TestLiveSmoke:
         text = format_report(report)
         assert "invariant violations" in text
         assert "predicted" in text
+
+    def test_first_migration_run_reaches_its_target(self):
+        # The stop check wakes on the target-th commit rather than a
+        # fixed poll; the run must still end at or above target.
+        report = _watched(_run_first_migration_in_child)
+        assert report["migrations"] >= 1
+        assert report["invariant_violations"] == []
+
+
+@pytest.fixture
+def supervisor(tmp_path):
+    """A central-mode supervisor with no processes, replies captured."""
+    config = SupervisorConfig(
+        num_nodes=3,
+        num_objects=6,
+        target_migrations=2,
+        socket_dir=str(tmp_path),
+        wal_fsync=False,
+    )
+    sup = NodeSupervisor(config)
+    sup.replies = []
+
+    async def capture_reply(envelope, payload=None):
+        sup.replies.append(payload)
+
+    sup.transport.reply = capture_reply
+    sup._notify = lambda node, kind, transfer: None
+    yield sup
+    sup.wal.close()
+
+
+def _envelope(kind, src, seq, **payload):
+    return Envelope(
+        kind=kind, src=src, dst=SUPERVISOR, msg_id=(src, seq), payload=payload
+    )
+
+
+class TestPhaseWakeups:
+    """The supervisor's phase waits are woken by the messages they wait
+    for, not by a poll quantum — checked with no wall-clock sleeps."""
+
+    def test_heartbeat_completes_pending_wait(self, supervisor):
+        async def scenario():
+            wait = asyncio.ensure_future(supervisor._wait_for_heartbeat(2))
+            await asyncio.sleep(0)  # let the wait register
+            await supervisor.handle(_envelope(HEARTBEAT, 3, 1, pid=0))
+            assert not wait.done()  # another node's beat is no answer
+            await supervisor.handle(_envelope(HEARTBEAT, 2, 1, pid=0))
+            await asyncio.wait_for(wait, 0.05)
+
+        asyncio.run(scenario())
+
+    def test_stop_signal_fires_on_target_th_central_commit(self, supervisor):
+        async def scenario():
+            # Objects 0 and 1 live at nodes 1 and 2; movers 2 and 3.
+            for seq, (mover, oid) in enumerate([(2, 0), (3, 1)], start=1):
+                await supervisor.handle(
+                    _envelope(MOVE_REQUEST, mover, seq, object_id=oid)
+                )
+            first, second = (r["transfer_id"] for r in supervisor.replies)
+            wake = supervisor._commit_wake
+            # Fenced: wrong destination, then a retry of a placed one.
+            await supervisor.handle(_envelope(PLACE, 3, 10, transfer_id=first))
+            assert supervisor.commits == 0 and not wake.is_set()
+            await supervisor.handle(_envelope(PLACE, 2, 11, transfer_id=first))
+            assert supervisor.commits == 1 and not wake.is_set()
+            await supervisor.handle(_envelope(PLACE, 2, 12, transfer_id=first))
+            assert supervisor.replies[-1] == {"ok": False}
+            assert supervisor.commits == 1 and not wake.is_set()
+            await supervisor.handle(_envelope(PLACE, 3, 13, transfer_id=second))
+            assert supervisor.commits == 2 and wake.is_set()
+
+        asyncio.run(scenario())
+
+    def test_stop_signal_fires_on_target_th_home_notice(self, supervisor):
+        async def scenario():
+            wake = supervisor._commit_wake
+            await supervisor.handle(
+                _envelope(PLACE_NOTICE, 1, 1, object_id=1, node=1,
+                          transfer_id=1_000_001)
+            )
+            assert supervisor.commits == 1 and not wake.is_set()
+            await supervisor.handle(
+                _envelope(PLACE_NOTICE, 2, 1, object_id=2, node=2,
+                          transfer_id=2_000_001)
+            )
+            assert supervisor.commits == 2 and wake.is_set()
+            assert supervisor.placement[1] == 1
+            assert supervisor.placement[2] == 2
+
+        asyncio.run(scenario())
+
+
+class TestHomeRespawnQuarantine:
+    def test_successor_binds_after_stale_pulls_gave_up(self, tmp_path):
+        # After the homes fail the dead node's transfers, a mover may
+        # still be reconnecting to pull one; the successor must not be
+        # listening before that send has exhausted its retries.
+        config = SupervisorConfig(
+            num_nodes=3,
+            num_objects=6,
+            socket_dir=str(tmp_path),
+            wal_fsync=False,
+            arbitration="home",
+        )
+        sup = NodeSupervisor(config)
+        sup.transport.retry = RetryPolicy(
+            max_attempts=2, timeout=1.0, base=0.03, cap=0.03, jitter=0.0
+        )
+        sent = []
+
+        async def request(node, kind, payload=None, timeout=5.0, trace=None):
+            sent.append((kind, sup.clock.now()))
+            return _envelope("reply", node, 1, broken=0, placement={})
+
+        async def respawn(node_id):
+            sent.append(("respawn", sup.clock.now()))
+
+        sup.transport.request = request
+        sup._respawn = respawn
+        asyncio.run(sup._restart_home(2))
+        sup.wal.close()
+        last_break = max(t for kind, t in sent if kind == BREAK_HOMED)
+        (respawned,) = [t for kind, t in sent if kind == "respawn"]
+        assert respawned - last_break >= sup.transport.reconnect_horizon
 
 
 class TestSimAnalog:

@@ -177,6 +177,37 @@ class TestConnectRetry:
         error = run(scenario())
         assert error.peer == 1
 
+    def test_send_to_dead_peer_backs_off_within_reconnect_horizon(
+        self, tmp_path
+    ):
+        # The supervisor respawns a dead home-mode worker only after
+        # this horizon, so no send addressed to the dead incarnation
+        # can still be reconnecting when the successor binds.
+        waits = []
+
+        class Recording(RetryPolicy):
+            def backoff(self, retry_index, stream):
+                delay = super().backoff(retry_index, stream)
+                waits.append(delay)
+                return delay
+
+        async def scenario():
+            peers = make_peers(tmp_path, [0, 1])
+            lonely = AsyncioTransport(
+                0, peers[0], peers,
+                retry=Recording(max_attempts=4, timeout=1.0, base=0.01,
+                                cap=0.02, jitter=0.5),
+            )
+            await lonely.start()
+            with pytest.raises(ConnectionLostError):
+                await lonely.send(1, "heartbeat")
+            await lonely.close()
+            return lonely.reconnect_horizon
+
+        horizon = run(scenario())
+        assert len(waits) == 3
+        assert sum(waits) <= horizon
+
 
 class TestIdempotentRedelivery:
     def test_duplicate_msg_id_handled_once(self, tmp_path):

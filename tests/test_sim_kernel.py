@@ -1,5 +1,7 @@
 """Unit tests for the simulation environment (clock + calendar)."""
 
+import warnings
+
 import pytest
 
 from repro.errors import EmptySchedule
@@ -25,6 +27,20 @@ class TestClock:
         env.timeout(1)
         env.timeout(2)
         assert len(env) == 2
+
+    def test_scheduled_events_counts_without_deprecated_api(self, env):
+        # ``itertools.count.__reduce__`` is deprecated in Python 3.12
+        # and removed in 3.14; the count must come from elsewhere.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert env.scheduled_events == 0
+            env.timeout(1)
+            env.timeout(2)
+            assert env.scheduled_events == 2
+            env.timeout(3)
+            assert env.scheduled_events == 3
+        # Reading the count consumes no event id.
+        assert [entry[2] for entry in sorted(env._queue)] == [0, 1, 2]
 
     def test_step_advances_clock(self, env):
         env.timeout(5)
