@@ -161,6 +161,9 @@ class WorkerStats:
     #: Grants/denials served while acting as a home node.
     home_grants: int = 0
     home_denials: int = 0
+    #: OBJECT_TRANSFERs refused because they were granted to a
+    #: predecessor incarnation of this worker.
+    stale_pulls_refused: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         """Picklable counter snapshot for the supervisor's report."""
@@ -176,6 +179,7 @@ class WorkerStats:
             "transfer_latencies": list(self.transfer_latencies),
             "home_grants": self.home_grants,
             "home_denials": self.home_denials,
+            "stale_pulls_refused": self.stale_pulls_refused,
         }
 
 
@@ -269,6 +273,9 @@ class LiveNodeWorker:
         self.num_slices = num_slices
         #: slice -> home node, as last broadcast by the supervisor.
         self.home_map: Dict[int, int] = {}
+        #: worker -> current incarnation, broadcast with the home map;
+        #: a home stamps the source's onto every grant it makes.
+        self.incarnations: Dict[int, int] = {}
         #: Slices this worker is home for.
         self.home_slices: Set[int] = set()
         #: Authoritative placement for objects in our slices.
@@ -428,6 +435,7 @@ class LiveNodeWorker:
             self.num_slices = envelope.payload.get(
                 "num_slices", self.num_slices
             )
+            self.incarnations = dict(envelope.payload.get("incarnations", {}))
             await self.transport.reply(envelope, {"ok": True})
         elif kind == HOME_STATE:
             await self.transport.reply(
@@ -519,10 +527,19 @@ class LiveNodeWorker:
         The copy stays in ``in_transit`` until the arbiter settles the
         transfer (EVICT on success, RESTORE on abort) — losing the
         reply on the way back must not lose the object.
+
+        A transfer granted to another incarnation of this worker is
+        refused: the arbiter failed it when that predecessor died, so
+        nobody would ever settle a copy held back for it.
         """
         object_id = envelope.payload["object_id"]
         transfer_id = envelope.payload["transfer_id"]
-        obj = self.objects.pop(object_id, None)
+        granted_to = envelope.payload.get("incarnation")
+        if granted_to is not None and granted_to != self.transport.incarnation:
+            self.stats.stale_pulls_refused += 1
+            obj = None
+        else:
+            obj = self.objects.pop(object_id, None)
         if self.telemetry.enabled:
             self.telemetry.end_span(
                 self.telemetry.start_span(
@@ -683,14 +700,26 @@ class LiveNodeWorker:
         return {
             "granted": True,
             "source": source,
+            "incarnation": self.incarnations.get(source, 0),
             "block_id": block.block_id,
             "transfer_id": transfer_id,
         }
 
     async def _serve_home_place(self, envelope: Envelope) -> None:
-        """The linearization point, at the home: commit or fence out."""
+        """The linearization point, at the home: commit or fence out.
+
+        Idempotent by transfer id: the destination asking again for a
+        transfer already placed for it is told ``ok`` and nothing is
+        committed twice.
+        """
         transfer = self.home_transfers.get(envelope.payload["transfer_id"])
-        ok = (
+        already_placed = (
+            transfer is not None
+            and transfer.state == "placed"
+            and transfer.dst == envelope.src
+            and self.home_placement.get(transfer.object_id) == transfer.dst
+        )
+        ok = already_placed or (
             transfer is not None
             and transfer.state == "pending"
             and transfer.dst == envelope.src
@@ -699,7 +728,7 @@ class LiveNodeWorker:
                 self.home_blocks[transfer.block_id]
             )
         )
-        if ok:
+        if ok and not already_placed:
             transfer.state = "placed"
             self.home_placement[transfer.object_id] = transfer.dst
             self._notify(
@@ -925,7 +954,12 @@ class LiveNodeWorker:
         pulled = False
         if not resident:
             resident = pulled = await self._pull(
-                arbiter, object_id, source, transfer_id, parent=span
+                arbiter,
+                object_id,
+                source,
+                grant.payload["incarnation"],
+                transfer_id,
+                parent=span,
             )
             if resident:
                 self._record_latency(
@@ -970,10 +1004,15 @@ class LiveNodeWorker:
         arbiter: int,
         object_id: int,
         source: int,
+        incarnation: int,
         transfer_id: int,
         parent=None,
     ) -> bool:
-        """Transfer + place; aborts (with rollback) on any timeout."""
+        """Transfer + place; aborts (with rollback) on a refusal or timeout.
+
+        ``incarnation`` is the source's as the grant saw it; a source
+        that has since been respawned refuses the transfer.
+        """
         telemetry = self.telemetry
         span = None
         if telemetry.enabled:
@@ -991,25 +1030,34 @@ class LiveNodeWorker:
             transfer = await self.transport.request(
                 source,
                 OBJECT_TRANSFER,
-                {"object_id": object_id, "transfer_id": transfer_id},
+                {
+                    "object_id": object_id,
+                    "transfer_id": transfer_id,
+                    "incarnation": incarnation,
+                },
                 timeout=self.request_timeout,
                 trace=trace,
             )
             state = transfer.payload["state"]
             if state is None:
-                raise TimeoutError("source no longer holds the object")
-            place = await self.transport.request(
-                arbiter,
-                PLACE,
-                {"transfer_id": transfer_id},
-                timeout=self.request_timeout,
-                trace=trace,
-            )
+                # The source no longer holds the object, or is not the
+                # incarnation the transfer was granted to.
+                outcome = "refused"
+            else:
+                place = await self.transport.request(
+                    arbiter,
+                    PLACE,
+                    {"transfer_id": transfer_id},
+                    timeout=self.request_timeout,
+                    trace=trace,
+                )
         except (TimeoutError, ConnectionLostError):
+            state, outcome = None, "timeout"
+        if state is None:
             self.stats.aborted += 1
             await self._rollback(arbiter, transfer_id, trace=trace)
             if span is not None:
-                telemetry.end_span(span, status=ERROR, outcome="timeout")
+                telemetry.end_span(span, status=ERROR, outcome=outcome)
             return False
         if not place.payload["ok"]:
             # Fenced out (arbiter saw us crash-suspected, or the

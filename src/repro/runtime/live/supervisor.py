@@ -46,8 +46,9 @@ Recovery (``recover=True``) replays the WAL, rebuilds lock/placement/
 fence state, waits for the orphaned workers to reconnect, and settles
 the in-doubt transfer tail: a transfer with no logged PLACE is rolled
 back (the destination can never have installed it — the ok reply is
-sent only after the append); a transfer *with* a logged PLACE is
-confirmed against the destination's inventory — present means commit
+sent only after the append); an object's latest transfer *with* a
+logged PLACE is confirmed against the destination's inventory —
+present (hosted, or held in transit for a later transfer) means commit
 (evict the source's held-back copy), absent means the commit never
 reached the destination and is reverted to the source.
 """
@@ -307,6 +308,9 @@ class NodeSupervisor:
         self.in_doubt_committed = 0
         self.in_doubt_rolled_back = 0
         self.in_doubt_reverted = 0
+        #: In-transit copies the pre-audit pass had to re-tell their
+        #: verdict (a settlement notice that never landed).
+        self.in_transit_reconciled = 0
         self.faults_active: Dict[str, Any] = {}
         self._settlements: Set = set()
         self._stopping = False
@@ -635,14 +639,27 @@ class NodeSupervisor:
         return {
             "granted": True,
             "source": source,
+            # The source refuses the pull if it has been respawned since.
+            "incarnation": self.incarnations[source],
             "block_id": block.block_id,
             "transfer_id": transfer_id,
         }
 
     async def _serve_place(self, envelope: Envelope) -> None:
-        """The linearization point: commit or fence out a transfer."""
+        """The linearization point: commit or fence out a transfer.
+
+        Idempotent by transfer id: the destination asking again for a
+        transfer already placed for it (its first ok reply was lost) is
+        told ``ok`` again, with no second WAL record or notice.
+        """
         transfer = self.transfers.get(envelope.payload["transfer_id"])
-        ok = (
+        already_placed = (
+            transfer is not None
+            and transfer.state == "placed"
+            and transfer.dst == envelope.src
+            and self.placement.get(transfer.object_id) == transfer.dst
+        )
+        ok = already_placed or (
             transfer is not None
             and transfer.state == "pending"
             and transfer.dst == envelope.src
@@ -660,7 +677,7 @@ class NodeSupervisor:
             if self.telemetry.enabled
             else None
         )
-        if ok:
+        if ok and not already_placed:
             # The WAL append *is* the commit: recovery treats a logged
             # PLACE as "the destination may hold the object" and
             # settles it against the destination's inventory.
@@ -867,7 +884,15 @@ class NodeSupervisor:
         if self.faults_active:
             await self._send_faults(node_id, self.faults_active)
         if self.config.arbitration == "home":
-            await self._send_home_map(node_id)
+            # Every home learns the new incarnation: from now on its
+            # grants name it, and pulls granted before are refused.
+            await self._broadcast_home_map(
+                [
+                    w
+                    for w in self.worker_ids
+                    if w == node_id or w not in self._restarting
+                ]
+            )
         if not self._in_drain:
             # A node respawned mid-drain must come up parked: starting
             # its workload would race the other nodes' quiesced
@@ -900,15 +925,6 @@ class NodeSupervisor:
             except (TimeoutError, ConnectionLostError):
                 pass  # peer mid-crash: its own restart will re-settle
         self.leases_broken_total += broken
-        # The homes just failed every pending transfer out of the dead
-        # node, but a mover may still be reconnecting to its address to
-        # pull one.  A successor listening there in time would serve
-        # that stale pull from its re-seeded copy, the mover's PLACE
-        # would be fenced, and the copy would stay in transit for good:
-        # the audit reconciles only transfers this supervisor granted.
-        # So the successor binds the address only once every such send
-        # has given up.
-        quiet_until = self.clock.deadline(self.transport.reconnect_horizon)
         # 2. If the dead node was home for slices, reassign them from
         #    WAL-mirrored ownership reconciled against live inventories.
         dead_slices = sorted(
@@ -920,7 +936,6 @@ class NodeSupervisor:
         #    respawn re-seeds exactly what the fleet says is the dead
         #    node's (placement-wise) and nothing else.
         await self._sync_placement_mirror(live)
-        await asyncio.sleep(max(0.0, quiet_until - self.clock.now()))
         await self._respawn(node_id)
 
     async def _reassign_slices(
@@ -1030,7 +1045,12 @@ class NodeSupervisor:
                 self.placement[int(oid)] = where
 
     def _home_map_payload(self) -> Dict[str, Any]:
-        return {"map": dict(self.home), "num_slices": self.num_slices}
+        return {
+            "map": dict(self.home),
+            "num_slices": self.num_slices,
+            # Homes stamp the source's incarnation onto every grant.
+            "incarnations": dict(self.incarnations),
+        }
 
     async def _send_home_map(self, node_id: int) -> None:
         try:
@@ -1435,11 +1455,20 @@ class NodeSupervisor:
           mover's PLACE landed during the recovery grace window and
           was served live against rebuilt state: not in doubt, skip.
         * ``placed`` in the WAL — the commit is logged but the ok
-          reply may have died with us.  The destination's inventory is
-          the tiebreak: object present → the commit went through,
-          evict the source's copy; absent → the destination aborted,
-          revert placement to the source and restore its copy.
+          reply may have died with us.  Only an object's latest placed
+          transfer can be in doubt; earlier ones were superseded.  The
+          destination's inventory is the tiebreak: object present —
+          hosted, or held in transit for a later transfer out of it —
+          means the commit went through, evict the source's copy;
+          absent means the destination aborted, revert placement to
+          the source and restore its copy.
         """
+        latest: Dict[int, int] = {}
+        for transfer in self.transfers.values():
+            if transfer.state == "placed":
+                latest[transfer.object_id] = max(
+                    transfer.transfer_id, latest.get(transfer.object_id, 0)
+                )
         plan: List[Tuple[str, Transfer]] = []
         for transfer in self.transfers.values():
             if transfer.transfer_id > self._recovered_max_transfer:
@@ -1448,7 +1477,10 @@ class NodeSupervisor:
             if wal_state == "pending" and transfer.state == "pending":
                 plan.append(("rollback", transfer))
             elif wal_state == "placed" and transfer.state == "placed":
-                if self.placement.get(transfer.object_id) != transfer.dst:
+                if (
+                    latest[transfer.object_id] != transfer.transfer_id
+                    or self.placement.get(transfer.object_id) != transfer.dst
+                ):
                     continue  # superseded by a later settled move
                 inventory = inventories.get(transfer.dst)
                 if inventory is None:
@@ -1457,7 +1489,9 @@ class NodeSupervisor:
                     plan.append(("commit", transfer))
                 elif transfer.object_id in {
                     int(oid) for oid in inventory["inventory"]
-                }:
+                } or transfer.object_id in inventory.get(
+                    "in_transit_objects", {}
+                ).values():
                     plan.append(("commit", transfer))
                 else:
                     plan.append(("revert", transfer))
@@ -1608,7 +1642,7 @@ class NodeSupervisor:
 
     async def _reconcile_in_transit(
         self, inventories: Dict[int, Dict[str, Any]]
-    ) -> bool:
+    ) -> int:
         """Re-issue verdict notices for copies still held in transit.
 
         Settlement notices are fire-and-forget and individually
@@ -1617,9 +1651,9 @@ class NodeSupervisor:
         every transfer it granted, so any copy a quiesced worker still
         reports in transit is re-told its outcome *synchronously* —
         EVICT if the transfer committed, RESTORE otherwise.  Returns
-        whether any notice was sent (the caller re-snapshots then).
+        how many notices were sent (the caller re-snapshots if any).
         """
-        sent = False
+        sent = 0
         for node_id, payload in inventories.items():
             for tid_key in payload.get("in_transit", ()):
                 transfer = self.transfers.get(int(tid_key))
@@ -1636,9 +1670,10 @@ class NodeSupervisor:
                         },
                         timeout=self.config.request_timeout,
                     )
-                    sent = True
+                    sent += 1
                 except (TimeoutError, ConnectionLostError):
                     pass
+        self.in_transit_reconciled += sent
         return sent
 
     def _audit(self, inventories: Dict[int, Dict[str, Any]]) -> List[str]:
@@ -1846,6 +1881,7 @@ class NodeSupervisor:
             "remote_invocations": 0,
             "home_grants": 0,
             "home_denials": 0,
+            "stale_pulls_refused": 0,
         }
         moved: Set[int] = set()
         latencies: List[float] = []
@@ -1899,6 +1935,7 @@ class NodeSupervisor:
                 "rolled_back": self.in_doubt_rolled_back,
                 "reverted": self.in_doubt_reverted,
             },
+            "in_transit_reconciled": self.in_transit_reconciled,
             "wal": {
                 "path": self.wal_path,
                 "records_appended": self.wal.appended,

@@ -19,7 +19,17 @@ inside each OS process (worker node or supervisor) and provides:
 * **request/reply with wall-clock deadlines**: ``request()`` correlates
   a response future by msg id and raises the shared
   :class:`repro.errors.TimeoutError` when the deadline passes — the
-  same ambiguity (lost? slow? dead?) the sim's retry layer models.
+  same ambiguity (lost? slow? dead?) the sim's retry layer models;
+* **at-most-once request retransmission**: while a reply is
+  outstanding the request is re-sent, same ``msg_id``, on the ``retry``
+  backoff schedule — but only on the connection it first went out on,
+  so a retransmit can never reach a successor process bound to the
+  same address.  When that connection dies the request fails at once
+  with :class:`~repro.errors.ConnectionLostError`.  The receiver
+  caches its replies by request id and answers a retransmitted
+  request from the cache, so a lost frame in either direction costs
+  one backoff step instead of the whole deadline and every handler
+  still runs at most once.
 
 :class:`FaultyTransport` wraps a transport and injects the sim fault
 vocabulary at the live layer — drops, fixed/jittered delays,
@@ -34,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import random
 import socket
+from collections import OrderedDict
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -74,6 +85,38 @@ def unix_supported() -> bool:
     return hasattr(socket, "AF_UNIX")
 
 
+class _Outstanding:
+    """A request awaiting its reply: what to resend, on which wire, until when."""
+
+    __slots__ = ("envelope", "future", "deadline", "writer", "retries", "timer")
+
+    def __init__(self, envelope: Envelope, future: asyncio.Future):
+        self.envelope = envelope
+        self.future = future
+        #: Event-loop time at which the request times out.
+        self.deadline = 0.0
+        #: The outbound connection the request first went out on.
+        self.writer: Optional[asyncio.StreamWriter] = None
+        #: Retransmissions so far; indexes the backoff schedule.
+        self.retries = 0
+        #: The one timer of the request: next retransmit or the deadline.
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    def fail(self, error: BaseException) -> None:
+        if not self.future.done():
+            self.future.set_exception(error)
+
+    def connection_lost(self) -> None:
+        dst = self.envelope.dst
+        self.fail(
+            ConnectionLostError(
+                f"connection to node {dst} lost with "
+                f"{self.envelope.kind!r} outstanding",
+                peer=dst,
+            )
+        )
+
+
 class AsyncioTransport(Transport):
     """Live message transport for one OS process.
 
@@ -89,7 +132,8 @@ class AsyncioTransport(Transport):
     clock:
         Wall clock used for deadlines and latency accounting.
     retry:
-        Connect/send retry policy (wall-clock seconds).
+        Connect/send retry policy (wall-clock seconds); its backoff
+        schedule also paces request retransmission.
     jitter_seed:
         Seed for the backoff jitter stream (reproducible reconnects).
     max_payload:
@@ -122,7 +166,11 @@ class AsyncioTransport(Transport):
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
         self._write_locks: Dict[int, asyncio.Lock] = {}
-        self._pending: Dict[Tuple[int, int], asyncio.Future] = {}
+        self._pending: Dict[Tuple[int, int], _Outstanding] = {}
+        #: request msg_id -> the reply sent for it, oldest first, at
+        #: most ``dedup.window`` entries: a retransmitted request is
+        #: answered from here instead of running its handler again.
+        self._replies: "OrderedDict[Tuple[int, int], Envelope]" = OrderedDict()
         self._reader_tasks: set = set()
         self._side_tasks: set = set()
         self._closed = False
@@ -145,26 +193,14 @@ class AsyncioTransport(Transport):
         self.reconnects = 0
         self.frames_received = 0
         self.frames_sent = 0
+        self.retransmits = 0
+        self.replies_resent = 0
 
     # -- seam contract --------------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self.peers)
-
-    @property
-    def reconnect_horizon(self) -> float:
-        """Longest a send keeps trying to reach an unreachable peer.
-
-        One resend backoff in :meth:`_raw_send` plus every backoff of
-        :meth:`_connect` (jitter only shortens them; a refused connect
-        returns at once).  A process that binds a dead peer's address
-        this long after a send to it began never receives that send.
-        """
-        retry = self.retry
-        return retry.envelope(0) + sum(
-            retry.envelope(k) for k in range(retry.max_attempts - 1)
-        )
 
     def transmit(self, src: int, dst: int, **kwargs):
         """Seam-named alias: a coroutine sending one data envelope."""
@@ -203,11 +239,10 @@ class AsyncioTransport(Transport):
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(
-                    TransportClosedError("transport closed with request pending")
-                )
+        for outstanding in self._pending.values():
+            outstanding.fail(
+                TransportClosedError("transport closed with request pending")
+            )
         self._pending.clear()
         for task in list(self._reader_tasks) + list(self._side_tasks):
             task.cancel()
@@ -244,11 +279,19 @@ class AsyncioTransport(Transport):
             # Pre-dedup so the flight recorder shows redeliveries too.
             observer.on_receive(envelope, duplicate)
         if duplicate:
-            return  # idempotent redelivery: already processed
+            # Already processed.  A retransmitted request whose reply
+            # is cached gets that reply again; one still being handled
+            # is answered when its handler replies.
+            if envelope.reply_to is None:
+                cached = self._replies.get(envelope.msg_id)
+                if cached is not None:
+                    self.replies_resent += 1
+                    self._spawn(self._resend_reply(cached))
+            return
         if envelope.reply_to is not None:
-            future = self._pending.pop(envelope.reply_to, None)
-            if future is not None and not future.done():
-                future.set_result(envelope)
+            outstanding = self._pending.pop(envelope.reply_to, None)
+            if outstanding is not None and not outstanding.future.done():
+                outstanding.future.set_result(envelope)
             return
         if self.handler is not None:
             # Handlers run as tasks so a slow handler (e.g. a drain
@@ -290,6 +333,7 @@ class AsyncioTransport(Transport):
                     )
                 self._writers[dst] = writer
                 self._write_locks.setdefault(dst, asyncio.Lock())
+                self._spawn(self._watch(reader, writer))
                 return writer
             except (ConnectionError, OSError) as exc:
                 last_error = exc
@@ -298,6 +342,21 @@ class AsyncioTransport(Transport):
             f"{self.retry.max_attempts} attempts: {last_error}",
             peer=dst,
         ) from last_error
+
+    async def _watch(self, reader, writer) -> None:
+        """Fail the requests pinned to an outbound connection when it dies.
+
+        Peers never write on a connection this side opened, so the
+        first thing the read returns is end-of-file.
+        """
+        try:
+            await reader.read()
+        except (ConnectionError, OSError):
+            pass
+        writer.close()
+        for outstanding in list(self._pending.values()):
+            if outstanding.writer is writer:
+                outstanding.connection_lost()
 
     async def _raw_send(self, envelope: Envelope) -> None:
         """Frame + write one envelope, reconnecting on a dead pipe.
@@ -347,20 +406,26 @@ class AsyncioTransport(Transport):
             peer=dst,
         ) from last_error
 
-    async def _send_envelope(self, envelope: Envelope) -> None:
-        """Send one envelope through the fault filter, if installed."""
+    def _plan(self, envelope: Envelope):
+        """Observe one outbound envelope; its (delay, copy) deliveries.
+
+        The fault filter, if installed, may drop (no deliveries),
+        delay or duplicate it.
+        """
         observer = self.observer
         if observer is not None:
             observer.on_send(envelope)
         fault_filter = self.outbound_filter
         if fault_filter is None:
-            await self._raw_send(envelope)
-            return
+            return ((0.0, envelope),)
         deliveries = fault_filter.plan(envelope)
         if not deliveries:
             self.dropped_messages += 1
-            return
-        for delay, copy_ in deliveries:
+        return deliveries
+
+    async def _send_envelope(self, envelope: Envelope) -> None:
+        """Send one envelope through the fault filter, if installed."""
+        for delay, copy_ in self._plan(envelope):
             if delay <= 0:
                 await self._raw_send(copy_)
             else:
@@ -372,6 +437,59 @@ class AsyncioTransport(Transport):
             await self._raw_send(envelope)
         except (ConnectionLostError, TransportClosedError):
             pass  # a delayed copy racing shutdown is just a lost message
+
+    async def _resend_reply(self, reply: Envelope) -> None:
+        try:
+            await self._send_envelope(reply)
+        except (ConnectionLostError, TransportClosedError):
+            pass  # the requester is gone; nobody awaits this reply
+
+    def _arm(self, outstanding: _Outstanding, wait: float) -> None:
+        """Wake the request after ``wait`` seconds, or at its deadline."""
+        loop = asyncio.get_running_loop()
+        outstanding.timer = loop.call_at(
+            min(loop.time() + wait, outstanding.deadline),
+            self._on_timer,
+            outstanding,
+        )
+
+    def _on_timer(self, outstanding: _Outstanding) -> None:
+        """Time a request out, or resend it on its pinned connection.
+
+        Never reconnects: a new connection to the same address may
+        reach a respawned successor, which must not see its
+        predecessor's requests.  A dead pinned connection fails the
+        request instead.
+        """
+        future = outstanding.future
+        if future.done():
+            return
+        loop = asyncio.get_running_loop()
+        if loop.time() >= outstanding.deadline:
+            future.set_exception(asyncio.TimeoutError())
+            return
+        writer = outstanding.writer
+        if writer.is_closing():
+            outstanding.connection_lost()
+            return
+        self.retransmits += 1
+        for delay, copy_ in self._plan(outstanding.envelope):
+            if delay <= 0:
+                self._write_pinned(writer, copy_)
+            else:
+                loop.call_later(delay, self._write_pinned, writer, copy_)
+        outstanding.retries += 1
+        self._arm(
+            outstanding, self.retry.backoff(outstanding.retries, self._jitter)
+        )
+
+    def _write_pinned(self, writer, envelope: Envelope) -> None:
+        """Write one whole frame without waiting (a retransmit)."""
+        if writer.is_closing():
+            return
+        writer.write(encode_frame(envelope.encode(), self.max_payload))
+        self.remote_messages += 1
+        self.frames_sent += 1
 
     def _spawn(self, coro) -> None:
         task = asyncio.get_running_loop().create_task(coro)
@@ -401,12 +519,18 @@ class AsyncioTransport(Transport):
 
         The request's trace context (if any) is echoed on the reply so
         flight-recorder dumps show both directions of an exchange under
-        the same trace.
+        the same trace.  The reply is cached by request id, so a
+        retransmission of the request is answered without re-running
+        its handler.
         """
         envelope = self.factory.make(
             "reply", request.src, payload, reply_to=request.msg_id,
             trace=request.trace,
         )
+        replies = self._replies
+        replies[request.msg_id] = envelope
+        if len(replies) > self.dedup.window:
+            replies.popitem(last=False)
         await self._send_envelope(envelope)
         return envelope
 
@@ -420,18 +544,33 @@ class AsyncioTransport(Transport):
     ) -> Envelope:
         """Send and await the correlated reply under a deadline.
 
-        Raises the shared :class:`repro.errors.TimeoutError` when the
+        Until the reply arrives the request is retransmitted on the
+        connection it went out on (see :meth:`_on_timer`).  Raises
+        the shared :class:`repro.errors.TimeoutError` when the
         wall-clock deadline passes — the caller cannot distinguish a
-        lost request from a lost reply from a slow peer, exactly the
-        ambiguity the sim's retry layer models.
+        peer that stayed silent from one that is slow, exactly the
+        ambiguity the sim's retry layer models — and
+        :class:`~repro.errors.ConnectionLostError` as soon as that
+        connection dies.
         """
         envelope = self.factory.make(kind, dst, payload, trace=trace)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[envelope.msg_id] = future
+        loop = asyncio.get_running_loop()
+        outstanding = _Outstanding(envelope, loop.create_future())
+        self._pending[envelope.msg_id] = outstanding
         started = self.clock.now()
         try:
             await self._send_envelope(envelope)
-            reply = await asyncio.wait_for(future, timeout)
+            outstanding.deadline = loop.time() + timeout
+            if not outstanding.future.done():
+                if dst == self.node_id:
+                    self._arm(outstanding, timeout)
+                else:
+                    # The connection the frame went out on (opened now
+                    # if the fault filter dropped the frame before any
+                    # was).
+                    outstanding.writer = await self._connect(dst)
+                    self._arm(outstanding, self.retry.backoff(0, self._jitter))
+            reply = await outstanding.future
         except asyncio.TimeoutError:
             raise TimeoutError(
                 f"{kind!r} request to node {dst} timed out after "
@@ -439,6 +578,8 @@ class AsyncioTransport(Transport):
             ) from None
         finally:
             self._pending.pop(envelope.msg_id, None)
+            if outstanding.timer is not None:
+                outstanding.timer.cancel()
         self.total_latency += self.clock.now() - started
         return reply
 
@@ -449,6 +590,8 @@ class AsyncioTransport(Transport):
             frames_received=self.frames_received,
             frames_sent=self.frames_sent,
             duplicates_suppressed=self.dedup.duplicates,
+            retransmits=self.retransmits,
+            replies_resent=self.replies_resent,
         )
         return base
 

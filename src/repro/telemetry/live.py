@@ -173,7 +173,11 @@ class FlightRecorder:
     # -- transport observer protocol --------------------------------------
 
     def on_send(self, envelope) -> None:
-        """One logical send (retries/duplicate copies not re-recorded)."""
+        """One send, or one retransmission of a request (same msg_id).
+
+        Connection-level redeliveries and injected duplicate copies
+        are not re-recorded.
+        """
         self.record(
             "send",
             kind=envelope.kind,

@@ -32,8 +32,17 @@ from repro.availability.livechaos import (
 from repro.runtime.live import wal as wal_module
 from repro.runtime.live.demo import run_supervised
 from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
+from repro.runtime.live.node import LiveNodeWorker
 from repro.runtime.live.wal import ArbitrationWal
-from repro.runtime.live.wire import EVICT, RESTORE
+from repro.runtime.live.wire import (
+    EVICT,
+    HOME_ASSIGN,
+    MOVE_REQUEST,
+    PLACE,
+    RESTORE,
+    SUPERVISOR,
+    Envelope,
+)
 
 #: Hard ceiling for one full multi-process kill-and-recover scenario.
 SMOKE_TIMEOUT = 150
@@ -217,6 +226,59 @@ class TestSettlementPlan:
         assert 2 not in plan
 
 
+    def test_copy_held_in_transit_at_destination_commits(self, recovered):
+        # Node 1 installed object 2 (t3) and was handing it on under a
+        # later transfer when the arbiter died: delivered, not lost.
+        plan = dict(
+            (t.transfer_id, verdict)
+            for verdict, t in recovered._plan_settlement(
+                {
+                    1: {"inventory": [0, 3], "in_transit_objects": {9: 2}},
+                    3: {"inventory": [1, 5]},
+                }
+            )
+        )
+        assert plan[3] == "commit"
+
+    def test_only_the_latest_placed_transfer_is_in_doubt(self, tmp_path):
+        # Object 0 went 1 -> 2 -> 3 -> 2: the first hop also names
+        # node 2 as destination but was superseded long ago.
+        wal_path = str(tmp_path / "arbitration.wal")
+        with ArbitrationWal(wal_path, fsync=False) as wal:
+            wal.append(
+                wal_module.INIT,
+                {
+                    "num_objects": 3,
+                    "arbitration": "central",
+                    "workers": [1, 2, 3],
+                    "placement": {"0": 1, "1": 2, "2": 3},
+                },
+            )
+            wal.append(wal_module.SUPER_START, {})
+            for tid, (src, dst) in enumerate([(1, 2), (2, 3), (3, 2)], 1):
+                wal.append(
+                    wal_module.GRANT,
+                    {"block_id": tid, "object_id": 0, "mover": dst,
+                     "source": src, "transfer_id": tid},
+                )
+                wal.append(wal_module.PLACE, {"transfer_id": tid})
+                wal.append(wal_module.END, {"block_id": tid})
+        supervisor = NodeSupervisor(
+            SupervisorConfig(num_nodes=3, num_objects=3,
+                             socket_dir=str(tmp_path), wal_path=wal_path,
+                             wal_fsync=False),
+            recover=True,
+        )
+        plan = [
+            (verdict, t.transfer_id)
+            for verdict, t in supervisor._plan_settlement(
+                {2: {"inventory": [1]}, 3: {"inventory": [2]}}
+            )
+        ]
+        supervisor.wal.close()
+        assert plan == [("revert", 3)]
+
+
 class TestSettlementExecution:
     """Both the commit and the rollback path (plus revert) execute:
     journaled, counted, notified — the acceptance criterion's explicit
@@ -256,6 +318,81 @@ class TestSettlementExecution:
         assert state.transfers[1].state == "rolled_back"
         assert state.transfers[3].state == "rolled_back"
         assert state.placement[2] == 3
+
+
+class TestPlaceIdempotence:
+    """A PLACE whose ok reply was lost may be asked again: the commit
+    stands, is answered ok, and is journaled and announced once."""
+
+    @staticmethod
+    def _capture(target):
+        replies = []
+
+        async def capture_reply(envelope, payload=None):
+            replies.append(payload)
+
+        target.transport.reply = capture_reply
+        return replies
+
+    def test_central_place_retry_answers_ok_once(self, tmp_path):
+        config = SupervisorConfig(
+            num_nodes=3,
+            num_objects=6,
+            socket_dir=str(tmp_path),
+            wal_fsync=False,
+        )
+        supervisor = NodeSupervisor(config)
+        replies = self._capture(supervisor)
+        notices = []
+        supervisor._notify = lambda node, kind, transfer: notices.append(kind)
+
+        async def scenario():
+            await supervisor.handle(
+                Envelope(MOVE_REQUEST, 2, SUPERVISOR, (2, 1), {"object_id": 0})
+            )
+            tid = replies[-1]["transfer_id"]
+            place = {"transfer_id": tid}
+            await supervisor.handle(Envelope(PLACE, 2, SUPERVISOR, (2, 2), place))
+            placement = dict(supervisor.placement)
+            del replies[-1]  # the ok reply is lost on the way back
+            await supervisor.handle(Envelope(PLACE, 2, SUPERVISOR, (2, 3), place))
+            return placement
+
+        placement = asyncio.run(scenario())
+        supervisor.wal.close()
+        assert replies[-1] == {"ok": True}
+        assert supervisor.placement == placement and placement[0] == 2
+        assert supervisor.commits == 1
+        assert notices == [EVICT]
+        _, records = wal_module.replay(supervisor.wal_path)
+        assert [r.kind for r in records].count(wal_module.PLACE) == 1
+
+    def test_home_place_retry_answers_ok_once(self):
+        home = LiveNodeWorker(3, ("unix", "unused"), {}, [])
+        replies = self._capture(home)
+        notices = []
+        home._notify = lambda node, kind, payload, trace=None: notices.append(
+            kind
+        )
+
+        async def scenario():
+            await home.handle(
+                Envelope(HOME_ASSIGN, SUPERVISOR, 3, (SUPERVISOR, 1),
+                         {"slices": [0], "placement": {0: 1}})
+            )
+            home.num_slices = 3
+            await home.handle(Envelope(MOVE_REQUEST, 2, 3, (2, 1), {"object_id": 0}))
+            tid = replies[-1]["transfer_id"]
+            await home.handle(Envelope(PLACE, 2, 3, (2, 2), {"transfer_id": tid}))
+            placement = dict(home.home_placement)
+            del replies[-1]
+            await home.handle(Envelope(PLACE, 2, 3, (2, 3), {"transfer_id": tid}))
+            return placement
+
+        placement = asyncio.run(scenario())
+        assert replies[-1] == {"ok": True}
+        assert home.home_placement == placement == {0: 2}
+        assert notices.count(EVICT) == 1, notices
 
 
 def _run_kill_scenario(arbitration, queue):

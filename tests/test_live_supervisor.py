@@ -8,8 +8,9 @@ violations.  The whole scenario runs under a hard wall-clock timeout
 so CI cannot hang on a wedged worker.
 
 Pure-logic pieces (config/schedule validation, the sim analog, the
-loss estimator, the supervisor's event-driven phase wake-ups) are
-tested alongside without any processes.
+loss estimator, the supervisor's event-driven phase wake-ups, the
+incarnation fence on transfers) are tested alongside without any
+processes.
 """
 
 import asyncio
@@ -33,17 +34,19 @@ from repro.runtime.live.demo import (
     run_supervised,
     simulate_analog,
 )
+from repro.runtime.live.node import LiveNodeWorker, LiveObject
 from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
 from repro.runtime.live.wire import (
-    BREAK_HOMED,
     HEARTBEAT,
+    HOME_ASSIGN,
+    HOME_MAP,
     MOVE_REQUEST,
+    OBJECT_TRANSFER,
     PLACE,
     PLACE_NOTICE,
     SUPERVISOR,
     Envelope,
 )
-from repro.runtime.retry import RetryPolicy
 
 #: Hard ceiling for the full multi-process scenario.
 SMOKE_TIMEOUT = 120
@@ -171,13 +174,14 @@ class TestPhaseWakeups:
                 )
             first, second = (r["transfer_id"] for r in supervisor.replies)
             wake = supervisor._commit_wake
-            # Fenced: wrong destination, then a retry of a placed one.
+            # Fenced: wrong destination.  A retry of a placed one is
+            # answered ok but commits nothing new.
             await supervisor.handle(_envelope(PLACE, 3, 10, transfer_id=first))
             assert supervisor.commits == 0 and not wake.is_set()
             await supervisor.handle(_envelope(PLACE, 2, 11, transfer_id=first))
             assert supervisor.commits == 1 and not wake.is_set()
             await supervisor.handle(_envelope(PLACE, 2, 12, transfer_id=first))
-            assert supervisor.replies[-1] == {"ok": False}
+            assert supervisor.replies[-1] == {"ok": True}
             assert supervisor.commits == 1 and not wake.is_set()
             await supervisor.handle(_envelope(PLACE, 3, 13, transfer_id=second))
             assert supervisor.commits == 2 and wake.is_set()
@@ -203,38 +207,103 @@ class TestPhaseWakeups:
         asyncio.run(scenario())
 
 
-class TestHomeRespawnQuarantine:
-    def test_successor_binds_after_stale_pulls_gave_up(self, tmp_path):
-        # After the homes fail the dead node's transfers, a mover may
-        # still be reconnecting to pull one; the successor must not be
-        # listening before that send has exhausted its retries.
+def _worker(node_id, incarnation=0, objects=()):
+    """A worker with no sockets or tasks; its replies are captured."""
+    worker = LiveNodeWorker(
+        node_id,
+        ("unix", "unused"),
+        {},
+        [LiveObject(oid).state() for oid in objects],
+        incarnation=incarnation,
+    )
+    worker.replies = []
+
+    async def capture_reply(envelope, payload=None):
+        worker.replies.append(payload)
+
+    worker.transport.reply = capture_reply
+    return worker
+
+
+class TestIncarnationFence:
+    """A transfer granted to a dead worker's incarnation can never be
+    served by its respawned successor."""
+
+    def test_successor_refuses_its_predecessors_pull(self):
+        successor = _worker(1, incarnation=1, objects=[0, 3])
+        pull = Envelope(
+            kind=OBJECT_TRANSFER,
+            src=2,
+            dst=1,
+            msg_id=(2, 7),
+            payload={"object_id": 0, "transfer_id": 4, "incarnation": 0},
+        )
+        asyncio.run(successor.handle(pull))
+        assert successor.replies == [{"state": None}]
+        assert 0 in successor.objects
+        assert successor.in_transit == {}
+        assert successor.stats.stale_pulls_refused == 1
+        # The current incarnation's pull is served as before.
+        pull.msg_id = (2, 8)
+        pull.payload["incarnation"] = 1
+        asyncio.run(successor.handle(pull))
+        assert successor.replies[-1]["state"]["object_id"] == 0
+        assert set(successor.in_transit) == {4}
+
+    @pytest.mark.parametrize("arbitration", ["central", "home"])
+    def test_grant_after_respawn_names_the_new_incarnation(
+        self, tmp_path, arbitration
+    ):
         config = SupervisorConfig(
             num_nodes=3,
             num_objects=6,
             socket_dir=str(tmp_path),
             wal_fsync=False,
-            arbitration="home",
+            arbitration=arbitration,
         )
         sup = NodeSupervisor(config)
-        sup.transport.retry = RetryPolicy(
-            max_attempts=2, timeout=1.0, base=0.03, cap=0.03, jitter=0.0
-        )
         sent = []
 
         async def request(node, kind, payload=None, timeout=5.0, trace=None):
-            sent.append((kind, sup.clock.now()))
-            return _envelope("reply", node, 1, broken=0, placement={})
+            sent.append((node, kind, payload))
 
-        async def respawn(node_id):
-            sent.append(("respawn", sup.clock.now()))
+        async def nothing(*args, **kwargs):
+            return None
 
         sup.transport.request = request
-        sup._respawn = respawn
-        asyncio.run(sup._restart_home(2))
+        sup._spawn = lambda node_id: None
+        sup._kill_worker = lambda node_id: False
+        sup._wait_for_heartbeat = nothing
+        sup._start_workload = nothing
+        asyncio.run(sup._respawn(1))
         sup.wal.close()
-        last_break = max(t for kind, t in sent if kind == BREAK_HOMED)
-        (respawned,) = [t for kind, t in sent if kind == "respawn"]
-        assert respawned - last_break >= sup.transport.reconnect_horizon
+        assert sup.incarnations[1] == 1
+        if arbitration == "central":
+            sup.transport.reply = nothing
+            grant = sup._move_decision(_envelope(MOVE_REQUEST, 2, 1, object_id=0))
+        else:
+            # Every worker hears the new incarnation with the home map,
+            # so a home's grant names it too.
+            maps = [p for node, kind, p in sent if kind == HOME_MAP]
+            assert sorted(n for n, k, _ in sent if k == HOME_MAP) == [1, 2, 3]
+            home = _worker(3)
+            asyncio.run(
+                home.handle(
+                    Envelope(HOME_ASSIGN, SUPERVISOR, 3, (SUPERVISOR, 1),
+                             {"slices": [0], "placement": {0: 1, 3: 1}})
+                )
+            )
+            asyncio.run(
+                home.handle(
+                    Envelope(HOME_MAP, SUPERVISOR, 3, (SUPERVISOR, 2),
+                             maps[-1])
+                )
+            )
+            grant = home._home_move_decision(
+                _envelope(MOVE_REQUEST, 2, 1, object_id=0)
+            )
+        assert grant["granted"] and grant["source"] == 1
+        assert grant["incarnation"] == sup.incarnations[1] == 1
 
 
 class TestSimAnalog:

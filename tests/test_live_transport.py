@@ -8,7 +8,8 @@ so a wedged transport fails fast instead of hanging CI.
 Cross-process traffic is exercised by the supervisor smoke test in
 ``tests/test_live_supervisor.py``; this file pins the transport-level
 contracts: request/reply correlation, deadline behaviour, connect
-retry, idempotent redelivery, and fault injection.
+retry, idempotent redelivery, request retransmission, and fault
+injection.
 """
 
 import asyncio
@@ -26,7 +27,7 @@ from repro.runtime.live.transport import (
     FaultyTransport,
     unix_supported,
 )
-from repro.runtime.live.wire import SUPERVISOR
+from repro.runtime.live.wire import SUPERVISOR, DedupIndex
 from repro.runtime.retry import RetryPolicy
 
 #: Hard ceiling on any single scenario — generous next to the
@@ -177,37 +178,6 @@ class TestConnectRetry:
         error = run(scenario())
         assert error.peer == 1
 
-    def test_send_to_dead_peer_backs_off_within_reconnect_horizon(
-        self, tmp_path
-    ):
-        # The supervisor respawns a dead home-mode worker only after
-        # this horizon, so no send addressed to the dead incarnation
-        # can still be reconnecting when the successor binds.
-        waits = []
-
-        class Recording(RetryPolicy):
-            def backoff(self, retry_index, stream):
-                delay = super().backoff(retry_index, stream)
-                waits.append(delay)
-                return delay
-
-        async def scenario():
-            peers = make_peers(tmp_path, [0, 1])
-            lonely = AsyncioTransport(
-                0, peers[0], peers,
-                retry=Recording(max_attempts=4, timeout=1.0, base=0.01,
-                                cap=0.02, jitter=0.5),
-            )
-            await lonely.start()
-            with pytest.raises(ConnectionLostError):
-                await lonely.send(1, "heartbeat")
-            await lonely.close()
-            return lonely.reconnect_horizon
-
-        horizon = run(scenario())
-        assert len(waits) == 3
-        assert sum(waits) <= horizon
-
 
 class TestIdempotentRedelivery:
     def test_duplicate_msg_id_handled_once(self, tmp_path):
@@ -230,6 +200,138 @@ class TestIdempotentRedelivery:
         handled, duplicates = run(scenario())
         assert handled == [(0, 1)], "handler must run exactly once"
         assert duplicates == 1
+
+
+class DropOne:
+    """Outbound filter dropping exactly the ``nth`` envelope of ``kind``."""
+
+    def __init__(self, transport, kind, nth=1):
+        self.kind = kind
+        self.nth = nth
+        self.seen = 0
+        self.dropped = []
+        transport.outbound_filter = self
+
+    def plan(self, envelope):
+        if envelope.kind == self.kind:
+            self.seen += 1
+            if self.seen == self.nth:
+                self.dropped.append(envelope.msg_id)
+                return []
+        return [(0.0, envelope)]
+
+
+class TestRetransmission:
+    """A lost frame costs one backoff step, not the request deadline,
+    and no handler runs twice (the transport's default retry policy
+    paces the retransmissions)."""
+
+    @staticmethod
+    def counting_echo(transport, calls):
+        async def echo(envelope):
+            calls.append(envelope.msg_id)
+            await transport.reply(envelope, {"n": len(calls)})
+
+        return echo
+
+    def test_dropped_request_is_retransmitted(self, tmp_path):
+        async def scenario():
+            mesh = await start_mesh(tmp_path, [0, 1])
+            drops = DropOne(mesh[0], "invoke")
+            calls = []
+            mesh[1].handler = self.counting_echo(mesh[1], calls)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            reply = await mesh[0].request(1, "invoke", timeout=3.0)
+            elapsed = loop.time() - started
+            stats = mesh[0].stats()
+            await stop_mesh(mesh)
+            return reply, elapsed, calls, drops.dropped, stats
+
+        reply, elapsed, calls, dropped, stats = run(scenario())
+        assert dropped == [(0, 1)]
+        assert elapsed < 0.5
+        assert calls == [(0, 1)], "handler must run exactly once"
+        assert reply.payload == {"n": 1}
+        assert stats["retransmits"] >= 1
+        assert stats["dropped_messages"] == 1
+
+    def test_dropped_reply_is_served_from_cache(self, tmp_path):
+        async def scenario():
+            mesh = await start_mesh(tmp_path, [0, 1])
+            drops = DropOne(mesh[1], "reply")
+            calls = []
+            mesh[1].handler = self.counting_echo(mesh[1], calls)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            reply = await mesh[0].request(1, "invoke", timeout=3.0)
+            elapsed = loop.time() - started
+            stats = mesh[1].stats()
+            await stop_mesh(mesh)
+            return reply, elapsed, calls, drops.dropped, stats
+
+        reply, elapsed, calls, dropped, stats = run(scenario())
+        assert len(dropped) == 1
+        assert elapsed < 0.5
+        assert calls == [(0, 1)], "handler must run exactly once"
+        assert reply.msg_id == dropped[0], "the cached reply, resent"
+        assert stats["replies_resent"] == 1
+
+    def test_dead_peer_fails_request_and_successor_sees_nothing(
+        self, tmp_path
+    ):
+        async def scenario():
+            peers = make_peers(tmp_path, [0, 1])
+            client = AsyncioTransport(0, peers[0], peers)
+            first = AsyncioTransport(1, peers[1], peers)
+            await client.start()
+            await first.start()
+            first.handler = self.counting_echo(first, [])
+            await client.request(1, "invoke", timeout=3.0)  # connect
+            DropOne(client, "invoke")
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            pending = asyncio.ensure_future(
+                client.request(1, "invoke", timeout=3.0)
+            )
+            await asyncio.sleep(0.01)
+            await first.close()  # the peer dies with the request out
+            successor = AsyncioTransport(1, peers[1], peers, incarnation=1)
+            calls = []
+            successor.handler = self.counting_echo(successor, calls)
+            await successor.start()
+            with pytest.raises(ConnectionLostError):
+                await pending
+            elapsed = loop.time() - started
+            # Several backoff steps: a reconnecting retransmit would
+            # have reached the successor by now.
+            await asyncio.sleep(0.4)
+            await client.close()
+            await successor.close()
+            return elapsed, calls
+
+        elapsed, calls = run(scenario())
+        assert elapsed < 0.5
+        assert calls == []
+
+    def test_reply_cache_is_bounded_by_dedup_window(self, tmp_path):
+        async def scenario():
+            mesh = await start_mesh(tmp_path, [0, 1])
+            mesh[1].dedup = DedupIndex(window=4)
+            DropOne(mesh[1], "reply")
+            calls = []
+            mesh[1].handler = self.counting_echo(mesh[1], calls)
+            sizes = []
+            for _ in range(10):
+                await mesh[0].request(1, "invoke", timeout=3.0)
+                sizes.append(len(mesh[1]._replies))
+            await stop_mesh(mesh)
+            return sizes, calls
+
+        sizes, calls = run(scenario())
+        assert len(calls) == 10
+        assert max(sizes) <= 4
+        assert sizes[-1] == 4
 
 
 class TestBounds:
