@@ -3,7 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-faults test-chaos test-telemetry \
-        test-versioning test-shard test-live test-wal bench bench-kernel \
+        test-versioning test-shard test-live test-wal test-kill-smoke \
+        bench bench-kernel \
         bench-shard bench-suite bench-full figures figures-paper examples clean
 
 install:
@@ -84,6 +85,29 @@ test-wal:
 	  --hypothesis-seed=0 \
 	  tests/test_live_wal.py tests/test_prop_wal.py \
 	  tests/test_live_recovery.py
+
+# The kill-the-arbiter smoke as a flake census: TestKillSupervisorSmoke
+# run KILL_SMOKE_RUNS times per arbitration mode, each run in its own
+# pytest process.  Prints the failures per mode (with each failing run's
+# first error line) and fails if any run failed.
+KILL_SMOKE_RUNS ?= 30
+KILL_SMOKE = tests/test_live_recovery.py::TestKillSupervisorSmoke
+test-kill-smoke:
+	@status=0; log=$$(mktemp); \
+	for mode in central home; do \
+	  failed=0; \
+	  for run in $$(seq $(KILL_SMOKE_RUNS)); do \
+	    if ! $(PYTHON) -m pytest -q -p no:randomly \
+	        "$(KILL_SMOKE)::test_arbiter_death_is_survived[$$mode]" \
+	        > $$log 2>&1; then \
+	      failed=$$((failed + 1)); \
+	      echo "  [$$mode] run $$run: $$(grep -m1 '^E ' $$log)"; \
+	    fi; \
+	  done; \
+	  echo "kill smoke [$$mode]: $$failed/$(KILL_SMOKE_RUNS) runs failed"; \
+	  test $$failed -eq 0 || status=1; \
+	done; \
+	rm -f $$log; exit $$status
 
 # The trusted end-to-end suite BENCHMARK.json declares (five fixed-work
 # workloads, per-layer metrics).  The pytest-benchmark figure harness is

@@ -59,6 +59,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.locking import LockManager
 from repro.core.moveblock import MoveBlock
 from repro.errors import ConnectionLostError, TimeoutError, TransportClosedError
+from repro.runtime.live.outbox import SettlementOutbox
 from repro.runtime.live.transport import AsyncioTransport, FaultyTransport
 from repro.runtime.live.wal import TRANSFER_BAND, TransferLogEntry
 from repro.runtime.live.wire import (
@@ -81,7 +82,6 @@ from repro.runtime.live.wire import (
     SEED,
     SET_FAULTS,
     SETTLE,
-    SETTLE_HOMED,
     SHUTDOWN,
     START,
     STATS,
@@ -289,7 +289,11 @@ class LiveNodeWorker:
         self.home_blocks: Dict[int, MoveBlock] = {}
         self.home_transfers: Dict[int, TransferLogEntry] = {}
         self._home_seq = count(1)
-        self._notices: Set = set()
+        #: Every EVICT / RESTORE / PLACE_NOTICE this home owes, retried
+        #: until acknowledged or the addressee's incarnation is dead.
+        self.outbox = SettlementOutbox(
+            self.transport, self.incarnations, request_timeout
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -385,34 +389,22 @@ class LiveNodeWorker:
             await self._serve_transfer(envelope)
         elif kind == INVOKE:
             await self._serve_invoke(envelope)
-        elif kind == EVICT:
-            transfer_id = envelope.payload["transfer_id"]
-            self.in_transit.pop(transfer_id, None)
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.evict",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        transfer=transfer_id,
-                    )
-                )
-            await self.transport.reply(envelope, {"ok": True})
-        elif kind == RESTORE:
+        elif kind == EVICT or kind == RESTORE:
+            # A transfer's verdict: drop or reinstate the held-back
+            # copy.  Idempotent by transfer id; a retry finds nothing.
             transfer_id = envelope.payload["transfer_id"]
             obj = self.in_transit.pop(transfer_id, None)
-            if obj is not None:
+            if obj is not None and kind == RESTORE:
                 self.objects[obj.object_id] = obj
             if self.telemetry.enabled:
                 self.telemetry.end_span(
                     self.telemetry.start_span(
-                        "live.restore",
+                        f"live.{kind}",  # live.evict / live.restore
                         node=self.node_id,
                         remote=envelope.trace,
                         detached=True,
                         transfer=transfer_id,
-                        restored=obj is not None,
+                        held=obj is not None,
                     )
                 )
             await self.transport.reply(envelope, {"ok": True})
@@ -435,7 +427,8 @@ class LiveNodeWorker:
             self.num_slices = envelope.payload.get(
                 "num_slices", self.num_slices
             )
-            self.incarnations = dict(envelope.payload.get("incarnations", {}))
+            self.incarnations.update(envelope.payload.get("incarnations", {}))
+            self.outbox.fence()
             await self.transport.reply(envelope, {"ok": True})
         elif kind == HOME_STATE:
             await self.transport.reply(
@@ -452,14 +445,6 @@ class LiveNodeWorker:
             )
         elif kind == BREAK_HOMED:
             await self._serve_break_homed(envelope)
-        elif kind == SETTLE_HOMED:
-            for tid in envelope.payload.get("evict", ()):
-                self.in_transit.pop(tid, None)
-            for tid in envelope.payload.get("restore", ()):
-                obj = self.in_transit.pop(tid, None)
-                if obj is not None:
-                    self.objects[obj.object_id] = obj
-            await self.transport.reply(envelope, {"ok": True})
         elif kind == SETTLE:
             await self._serve_settle(envelope)
         elif kind == SEED:
@@ -506,11 +491,11 @@ class LiveNodeWorker:
             await self.transport.reply(
                 envelope,
                 {
+                    "incarnation": self.transport.incarnation,
                     "inventory": {
                         oid: obj.version
                         for oid, obj in sorted(self.objects.items())
                     },
-                    "in_transit": sorted(self.in_transit),
                     "in_transit_objects": {
                         tid: obj.object_id
                         for tid, obj in sorted(self.in_transit.items())
@@ -731,18 +716,12 @@ class LiveNodeWorker:
         if ok and not already_placed:
             transfer.state = "placed"
             self.home_placement[transfer.object_id] = transfer.dst
-            self._notify(
-                transfer.src,
-                EVICT,
-                {"transfer_id": transfer.transfer_id},
-                trace=envelope.trace,
-            )
+            self.outbox.tell_source(transfer, EVICT, trace=envelope.trace)
             # Mirror the commit to the supervisor's WAL so a dead
             # home's slice can be reassigned from durable ownership
-            # records.  Fire-and-forget: the supervisor may itself be
-            # mid-recovery; a lost notice only widens the inventory
-            # reconciliation it must do anyway.
-            self._notify(
+            # records.  Retried across a supervisor restart: the
+            # recovered supervisor mirrors it once.
+            self.outbox.post(
                 SUPERVISOR,
                 PLACE_NOTICE,
                 {
@@ -771,12 +750,7 @@ class LiveNodeWorker:
         ok = transfer is not None and transfer.state == "pending"
         if ok:
             transfer.state = "rolled_back"
-            self._notify(
-                transfer.src,
-                RESTORE,
-                {"transfer_id": transfer.transfer_id},
-                trace=envelope.trace,
-            )
+            self.outbox.tell_source(transfer, RESTORE, trace=envelope.trace)
         if self.telemetry.enabled:
             self.telemetry.end_span(
                 self.telemetry.start_span(
@@ -807,11 +781,7 @@ class LiveNodeWorker:
             if transfer.dst == dead:
                 transfer.state = "rolled_back"
                 if transfer.src != dead:
-                    self._notify(
-                        transfer.src,
-                        RESTORE,
-                        {"transfer_id": transfer.transfer_id},
-                    )
+                    self.outbox.tell_source(transfer, RESTORE)
             elif transfer.src == dead:
                 # Source died holding the held-back copy: state lost,
                 # placement never moved — the supervisor re-seeds it.
@@ -819,22 +789,20 @@ class LiveNodeWorker:
         await self.transport.reply(envelope, {"broken": broken})
 
     async def _serve_settle(self, envelope: Envelope) -> None:
-        """Drain-time settlement of everything this home arbitrates."""
+        """Drain report: settle everything this home arbitrates.
+
+        Rolls back the pending transfers, awaits the outbox, and
+        reports placements, verdicts and lock state to the supervisor.
+        """
         leaked = 0
         for transfer in self.home_transfers.values():
             if transfer.state == "pending":
                 transfer.state = "rolled_back"
-                self._notify(
-                    transfer.src,
-                    RESTORE,
-                    {"transfer_id": transfer.transfer_id},
-                )
+                self.outbox.tell_source(transfer, RESTORE)
         for block in list(self.home_blocks.values()):
             leaked += 1 if self.home_locks.release_block(block) else 0
         self.home_blocks.clear()
-        deadline = self.transport.clock.deadline(self.request_timeout)
-        while self._notices and not self.transport.clock.expired(deadline):
-            await asyncio.sleep(0.02)
+        await self.outbox.drained(self.request_timeout)
         lock_violations: List[str] = []
         try:
             self.home_locks.check_invariant()
@@ -845,35 +813,13 @@ class LiveNodeWorker:
             {
                 "leaked_blocks": leaked,
                 "placement": dict(self.home_placement),
-                "slices": sorted(self.home_slices),
+                "verdicts": {
+                    t.transfer_id: t.state
+                    for t in self.home_transfers.values()
+                },
                 "lock_violations": lock_violations,
             },
         )
-
-    def _notify(
-        self,
-        node: int,
-        kind: str,
-        payload: Dict[str, Any],
-        trace: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Fire-and-forget settlement/mirror notice to a peer."""
-
-        async def deliver():
-            try:
-                await self.transport.request(
-                    node,
-                    kind,
-                    payload,
-                    timeout=self.request_timeout,
-                    trace=trace,
-                )
-            except Exception:
-                pass  # dead peer: its state is re-seeded/reconciled anyway
-
-        task = asyncio.ensure_future(deliver())
-        self._notices.add(task)
-        task.add_done_callback(self._notices.discard)
 
     # -- the workload: concurrent movers --------------------------------------
 

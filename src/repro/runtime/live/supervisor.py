@@ -80,6 +80,7 @@ from repro.runtime.clock import WallClock
 from repro.runtime.failure import HeartbeatHistory
 from repro.runtime.live import wal as wal_module
 from repro.runtime.live.node import LiveObject, worker_main
+from repro.runtime.live.outbox import SettlementOutbox
 from repro.runtime.live.transport import AsyncioTransport, unix_supported
 from repro.runtime.live.wal import TRANSFER_BAND, ArbitrationWal
 from repro.runtime.live.wire import (
@@ -100,7 +101,6 @@ from repro.runtime.live.wire import (
     ROLLBACK,
     SET_FAULTS,
     SETTLE,
-    SETTLE_HOMED,
     SHUTDOWN,
     START,
     STATS,
@@ -264,6 +264,11 @@ class NodeSupervisor:
         self._recovered_max_transfer = 0
         #: transfer id -> state as the WAL recorded it at replay time.
         self._wal_states: Dict[int, str] = {}
+        #: Home-granted transfer ids whose commit is mirrored in the WAL.
+        self._mirrored: Set[int] = set()
+        #: Verdicts of home-granted transfers, as the homes report them
+        #: at drain (and as this supervisor decided for a dead home's).
+        self._home_verdicts: Dict[int, str] = {}
         if recover:
             self._replay_wal()
         self.transport = AsyncioTransport(
@@ -273,6 +278,11 @@ class NodeSupervisor:
             clock=self.clock,
             jitter_seed=config.rng_seed,
             incarnation=self.supervisor_starts,
+        )
+        #: Every EVICT / RESTORE this supervisor owes a source, retried
+        #: until acknowledged or the source's incarnation is bumped.
+        self.outbox = SettlementOutbox(
+            self.transport, self.incarnations, config.request_timeout
         )
         self.wal = ArbitrationWal(
             self.wal_path, fsync=config.wal_fsync, telemetry=telemetry
@@ -308,11 +318,7 @@ class NodeSupervisor:
         self.in_doubt_committed = 0
         self.in_doubt_rolled_back = 0
         self.in_doubt_reverted = 0
-        #: In-transit copies the pre-audit pass had to re-tell their
-        #: verdict (a settlement notice that never landed).
-        self.in_transit_reconciled = 0
         self.faults_active: Dict[str, Any] = {}
-        self._settlements: Set = set()
         self._stopping = False
         self._in_drain = False
         # -- cross-process telemetry (inert unless dir + enabled) --
@@ -399,6 +405,7 @@ class NodeSupervisor:
         if state.num_slices:
             self.num_slices = state.num_slices
         self.supervisor_starts = state.supervisor_starts
+        self._mirrored = set(state.mirrored)
         if span is not None:
             self.telemetry.end_span(
                 span,
@@ -544,18 +551,13 @@ class NodeSupervisor:
         elif kind == PLACE_NOTICE:
             # A peer home committed a transfer: mirror the ownership
             # move into the WAL so slice reassignment survives us.
-            self._log(
-                wal_module.PLACE_MIRROR,
-                {
-                    "object_id": envelope.payload["object_id"],
-                    "node": envelope.payload["node"],
-                    "transfer_id": envelope.payload.get("transfer_id"),
-                },
-            )
-            self.placement[envelope.payload["object_id"]] = envelope.payload[
-                "node"
-            ]
-            self._count_commit()
+            # Once per transfer id: a home retries until acknowledged.
+            notice = envelope.payload
+            if notice["transfer_id"] not in self._mirrored:
+                self._mirrored.add(notice["transfer_id"])
+                self._log(wal_module.PLACE_MIRROR, dict(notice))
+                self.placement[notice["object_id"]] = notice["node"]
+                self._count_commit()
             await self.transport.reply(envelope, {"ok": True})
         elif kind == LOCATE:
             oid = envelope.payload["object_id"]
@@ -686,7 +688,7 @@ class NodeSupervisor:
             )
             transfer.state = "placed"
             self.placement[transfer.object_id] = transfer.dst
-            self._notify(transfer.src, EVICT, transfer)
+            self.outbox.tell_source(transfer, EVICT, transfer.trace)
             self._count_commit()
         if span is not None:
             self.telemetry.end_span(span, ok=ok)
@@ -714,50 +716,16 @@ class NodeSupervisor:
             else None
         )
         if ok:
-            self._log(
-                wal_module.ROLLBACK, {"transfer_id": transfer.transfer_id}
-            )
-            transfer.state = "rolled_back"
-            self._notify(transfer.src, RESTORE, transfer)
+            self._roll_back(transfer)
         if span is not None:
             self.telemetry.end_span(span, ok=ok)
         await self.transport.reply(envelope, {"ok": ok})
 
-    def _notify(self, node: int, kind: str, transfer: Transfer) -> None:
-        """Fire-and-forget settlement notice to a transfer's source.
-
-        EVICT/RESTORE are idempotent (a pop keyed by transfer id), so
-        the notice retries until delivered or the drain budget runs
-        out: a single timeout under load must not leak the source's
-        held-back copy.  A crashed source is the one acceptable drop —
-        its respawn is re-seeded from the placement map anyway.
-        """
-
-        async def deliver():
-            deadline = self.clock.deadline(self.config.drain_timeout)
-            while True:
-                try:
-                    await self.transport.request(
-                        node,
-                        kind,
-                        {
-                            "transfer_id": transfer.transfer_id,
-                            "object_id": transfer.object_id,
-                        },
-                        timeout=self.config.request_timeout,
-                        trace=transfer.trace,
-                    )
-                    return
-                except (TimeoutError, ConnectionLostError):
-                    if self.clock.expired(deadline):
-                        return
-                    await asyncio.sleep(0.1)
-                except Exception:
-                    return
-
-        task = asyncio.ensure_future(deliver())
-        self._settlements.add(task)
-        task.add_done_callback(self._settlements.discard)
+    def _roll_back(self, transfer: Transfer) -> None:
+        """Journal a rollback; the source restores its held-back copy."""
+        self._log(wal_module.ROLLBACK, {"transfer_id": transfer.transfer_id})
+        transfer.state = "rolled_back"
+        self.outbox.tell_source(transfer, RESTORE, transfer.trace)
 
     # -- failure detection & restart ------------------------------------------
 
@@ -844,12 +812,7 @@ class NodeSupervisor:
                 continue
             if transfer.dst == node_id:
                 # Destination died mid-pull: restore the source's copy.
-                self._log(
-                    wal_module.ROLLBACK,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self._notify(transfer.src, RESTORE, transfer)
+                self._roll_back(transfer)
             elif transfer.src == node_id:
                 # Source died holding the held-back copy: the state is
                 # lost; fence the destination out and re-seed on
@@ -879,6 +842,8 @@ class NodeSupervisor:
             wal_module.INCARNATION,
             {"node": node_id, "incarnation": self.incarnations[node_id]},
         )
+        # The dead incarnation's copies died with it: drop its verdicts.
+        self.outbox.fence()
         self._spawn(node_id)
         await self._wait_for_heartbeat(node_id)
         if self.faults_active:
@@ -943,58 +908,47 @@ class NodeSupervisor:
     ) -> None:
         """Move a dead home's slices to the least-loaded survivor.
 
-        The dead home's transfer table died with it; transfers it
-        granted (ids in its band) are settled from the in-transit
-        tables of the live workers: an in-transit copy whose object is
-        hosted somewhere is evicted, one hosted nowhere is restored.
+        The dead home's transfer table and outbox died with it;
+        transfers it granted (ids in its band) are settled from the
+        in-transit tables of the live workers, through this
+        supervisor's outbox: an in-transit copy whose object is hosted
+        somewhere is evicted, one hosted nowhere is restored.
         """
-        inventories: Dict[int, Dict[str, Any]] = {}
-        for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer, INVENTORY, timeout=self.config.request_timeout
-                )
-                inventories[peer] = reply.payload
-            except (TimeoutError, ConnectionLostError):
-                pass
+        inventories = await self._inventories(
+            live, self.config.request_timeout
+        )
         hosted: Dict[int, int] = {}
         for peer, payload in inventories.items():
             for oid in payload["inventory"]:
                 hosted[int(oid)] = peer
         # Settle transfers the dead home granted (its id band).
-        instructions: Dict[int, Dict[str, List[int]]] = {}
         for peer, payload in inventories.items():
-            for tid, oid in payload.get("in_transit_objects", {}).items():
+            for tid, oid in payload["in_transit_objects"].items():
                 if tid // TRANSFER_BAND != dead:
                     continue  # homed at a live peer: it settles its own
-                plan = instructions.setdefault(
-                    peer, {"evict": [], "restore": []}
+                committed = oid in hosted
+                hosted.setdefault(oid, peer)
+                self._home_verdicts[tid] = (
+                    "placed" if committed else "rolled_back"
                 )
-                if oid in hosted:
-                    plan["evict"].append(tid)
-                else:
-                    plan["restore"].append(tid)
-                    hosted[oid] = peer
-        for peer, plan in instructions.items():
-            try:
-                await self.transport.request(
+                self.outbox.post(
                     peer,
-                    SETTLE_HOMED,
-                    plan,
-                    timeout=self.config.request_timeout,
+                    EVICT if committed else RESTORE,
+                    {"transfer_id": tid, "object_id": oid},
                 )
-            except (TimeoutError, ConnectionLostError):
-                pass
         # Reconciled ownership for the orphaned slices: found copies
         # win; unseen objects stay placed at the dead node and are
-        # re-seeded when it respawns.
+        # re-seeded when it respawns.  The mirror is trusted only for a
+        # node whose inventory is missing: it lags the dead home's last
+        # commits, so a node that answered without the object does not
+        # have it.
         slice_placement: Dict[int, int] = {}
         for oid in range(self.config.num_objects):
             if oid % self.num_slices not in dead_slices:
                 continue
             where = hosted.get(oid, self.placement.get(oid, dead))
-            if where not in inventories and where != dead:
-                where = self.placement.get(oid, dead)
+            if oid not in hosted and where in inventories:
+                where = dead
             slice_placement[oid] = where if where in live else dead
         changed = {
             oid: where
@@ -1387,15 +1341,10 @@ class NodeSupervisor:
         await asyncio.sleep(
             min(1.0, self.config.request_timeout)
         )
-        inventories: Dict[int, Dict[str, Any]] = {}
-        for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer, INVENTORY, timeout=self.config.request_timeout
-                )
-                inventories[peer] = reply.payload
-            except (TimeoutError, ConnectionLostError):
-                dead.append(peer)
+        inventories = await self._inventories(
+            live, self.config.request_timeout
+        )
+        dead += [w for w in live if w not in inventories]
         # Post-mortems first: the predecessor supervisor's flight dump
         # and any dead worker's, so the in-doubt verdicts below can be
         # cross-checked against what those processes last witnessed.
@@ -1500,17 +1449,17 @@ class NodeSupervisor:
     async def _settle_in_doubt(
         self, inventories: Dict[int, Dict[str, Any]]
     ) -> None:
-        """Execute the settlement plan, journaling every decision."""
+        """Execute the settlement plan, journaling every decision.
+
+        The predecessor's outbox died with it, so the logged verdict of
+        every other settled transfer a live worker still holds a copy
+        for is posted again.
+        """
         plan = self._plan_settlement(inventories)
         self._last_settlement_plan = plan
         for verdict, transfer in plan:
             if verdict == "rollback":
-                self._log(
-                    wal_module.ROLLBACK,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self._notify(transfer.src, RESTORE, transfer)
+                self._roll_back(transfer)
                 self._release_transfer_block(transfer)
                 self.in_doubt_rolled_back += 1
             elif verdict == "revert":
@@ -1520,12 +1469,22 @@ class NodeSupervisor:
                 )
                 transfer.state = "rolled_back"
                 self.placement[transfer.object_id] = transfer.src
-                self._notify(transfer.src, RESTORE, transfer)
+                self.outbox.tell_source(transfer, RESTORE, transfer.trace)
                 self._release_transfer_block(transfer)
                 self.in_doubt_reverted += 1
             else:  # commit: make sure the source's copy is gone
-                self._notify(transfer.src, EVICT, transfer)
+                self.outbox.tell_source(transfer, EVICT, transfer.trace)
                 self.in_doubt_committed += 1
+        planned = {transfer.transfer_id for _, transfer in plan}
+        for payload in inventories.values():
+            for tid in payload.get("in_transit_objects", {}):
+                transfer = self.transfers.get(tid)
+                if transfer is None or tid in planned:
+                    continue
+                if transfer.state == "placed":
+                    self.outbox.tell_source(transfer, EVICT, transfer.trace)
+                elif transfer.state != "pending":
+                    self.outbox.tell_source(transfer, RESTORE, transfer.trace)
 
     def _release_transfer_block(self, transfer: Transfer) -> None:
         block = self.blocks.pop(transfer.block_id, None)
@@ -1539,28 +1498,22 @@ class NodeSupervisor:
         """Resolve every transfer so no held-back copy survives drain.
 
         Called only after all workloads are quiesced: rolls back every
-        still-pending transfer, then waits for the outstanding
-        settlement notices (the transport's spawned deliver tasks) to
-        land before the inventory snapshot.
+        still-pending transfer, then awaits the outbox.  A verdict
+        still unacknowledged after ``drain_timeout`` leaves its copy in
+        transit, and the audit reports it.
         """
         for transfer in self.transfers.values():
             if transfer.state == "pending":
-                self._log(
-                    wal_module.ROLLBACK,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self._notify(transfer.src, RESTORE, transfer)
-        deadline = self.clock.deadline(self.config.drain_timeout)
-        while self._settlements and not self.clock.expired(deadline):
-            await asyncio.sleep(0.05)
+                self._roll_back(transfer)
+        await self.outbox.drained(self.config.drain_timeout)
 
     async def _settle_homes(self) -> Tuple[int, List[str]]:
         """Drain-time settlement under home arbitration.
 
-        Each home rolls back its pending transfers, releases leftover
-        blocks and reports its authoritative placements; the union
-        becomes the audit's expected placement.
+        Each home rolls back its pending transfers, awaits its outbox,
+        releases leftover blocks and reports its authoritative
+        placements and verdicts; the union of the placements becomes
+        the audit's expected placement.
         """
         leaked = 0
         violations: List[str] = []
@@ -1578,6 +1531,7 @@ class NodeSupervisor:
             violations.extend(reply.payload.get("lock_violations", ()))
             for oid, where in reply.payload["placement"].items():
                 self.placement[int(oid)] = where
+            self._home_verdicts.update(reply.payload["verdicts"])
         return leaked, violations
 
     async def _drain(self) -> Dict[int, Dict[str, Any]]:
@@ -1626,59 +1580,58 @@ class NodeSupervisor:
             )
         return drained
 
-    async def _inventories(self) -> Dict[int, Dict[str, Any]]:
-        """Phase 3: race-free inventory snapshot of the quiesced fleet."""
+    async def _inventories(
+        self, nodes: List[int], timeout: float
+    ) -> Dict[int, Dict[str, Any]]:
+        """Snapshot the nodes' inventories concurrently.
+
+        A node that times out or is unreachable is left out.
+        """
 
         async def snapshot(node_id: int):
-            reply = await self.transport.request(
-                node_id, INVENTORY, timeout=self.config.drain_timeout
-            )
-            return node_id, reply.payload
+            try:
+                reply = await self.transport.request(
+                    node_id, INVENTORY, timeout=timeout
+                )
+                return node_id, reply.payload
+            except (TimeoutError, ConnectionLostError):
+                return node_id, None
 
-        results = await asyncio.gather(
-            *(snapshot(w) for w in self.worker_ids)
-        )
-        return dict(results)
+        results = await asyncio.gather(*(snapshot(w) for w in nodes))
+        return {node: inv for node, inv in results if inv is not None}
 
-    async def _reconcile_in_transit(
-        self, inventories: Dict[int, Dict[str, Any]]
-    ) -> int:
-        """Re-issue verdict notices for copies still held in transit.
+    async def _settle_and_audit(self) -> Tuple[List[str], int]:
+        """Settle every transfer, snapshot the fleet, audit the snapshot.
 
-        Settlement notices are fire-and-forget and individually
-        retried, but the audit must not depend on every one having
-        landed: the supervisor holds the authoritative verdict for
-        every transfer it granted, so any copy a quiesced worker still
-        reports in transit is re-told its outcome *synchronously* —
-        EVICT if the transfer committed, RESTORE otherwise.  Returns
-        how many notices were sent (the caller re-snapshots if any).
+        Runs once the workload is parked.  Returns the violations and
+        the number of blocks released because their END never arrived
+        (lost to chaos).
         """
-        sent = 0
-        for node_id, payload in inventories.items():
-            for tid_key in payload.get("in_transit", ()):
-                transfer = self.transfers.get(int(tid_key))
-                if transfer is None:
-                    continue  # home-granted: its home settles it
-                kind = EVICT if transfer.state == "placed" else RESTORE
-                try:
-                    await self.transport.request(
-                        node_id,
-                        kind,
-                        {
-                            "transfer_id": transfer.transfer_id,
-                            "object_id": transfer.object_id,
-                        },
-                        timeout=self.config.request_timeout,
-                    )
-                    sent += 1
-                except (TimeoutError, ConnectionLostError):
-                    pass
-        self.in_transit_reconciled += sent
-        return sent
+        leaked_blocks = 0
+        violations: List[str] = []
+        if self.config.arbitration == "home":
+            leaked_blocks, violations = await self._settle_homes()
+        await self._settle_transfers()
+        for block in list(self.blocks.values()):
+            leaked_blocks += 1 if self.locks.release_block(block) else 0
+        self.blocks.clear()
+        violations += self._audit(
+            await self._inventories(self.worker_ids, self.config.drain_timeout)
+        )
+        return violations, leaked_blocks
 
     def _audit(self, inventories: Dict[int, Dict[str, Any]]) -> List[str]:
-        """Placement + lock invariants; returns violation descriptions."""
-        violations: List[str] = []
+        """Placement + lock invariants; returns violation descriptions.
+
+        Audits the snapshot exactly as taken: a copy still held in
+        transit is a violation naming its transfer, holder and the
+        verdict its arbiter holds.
+        """
+        violations = [
+            f"node {node_id} sent no inventory"
+            for node_id in self.worker_ids
+            if node_id not in inventories
+        ]
         seen: Dict[int, int] = {}
         for node_id, payload in inventories.items():
             for oid_key in payload["inventory"]:
@@ -1694,10 +1647,17 @@ class NodeSupervisor:
                         f"obj {oid} at node {node_id} but placement map "
                         f"says {self.placement.get(oid)}"
                     )
-            if payload["in_transit"]:
+            for tid, oid in payload["in_transit_objects"].items():
+                transfer = self.transfers.get(tid)
+                verdict = (
+                    transfer.state
+                    if transfer is not None
+                    else self._home_verdicts.get(tid, "unknown")
+                )
                 violations.append(
-                    f"node {node_id} still holds in-transit copies "
-                    f"{payload['in_transit']} after settlement"
+                    f"transfer {tid}: node {node_id} (incarnation "
+                    f"{payload['incarnation']}) still holds obj {oid} in "
+                    f"transit; arbiter verdict {verdict}"
                 )
         missing = set(range(self.config.num_objects)) - set(seen)
         for oid in sorted(missing):
@@ -1799,22 +1759,7 @@ class NodeSupervisor:
         drained = await self._drain()
         self._stopping = True
         monitor.cancel()
-        leaked_blocks = 0
-        home_violations: List[str] = []
-        if self.config.arbitration == "home":
-            leaked_blocks, home_violations = await self._settle_homes()
-        await self._settle_transfers()
-        # Workload is parked: release whatever blocks never saw END
-        # (their END_REQUEST was lost to chaos) and audit.
-        for block in list(self.blocks.values()):
-            leaked_blocks += 1 if self.locks.release_block(block) else 0
-        self.blocks.clear()
-        inventories = await self._inventories()
-        for _ in range(3):
-            if not await self._reconcile_in_transit(inventories):
-                break
-            inventories = await self._inventories()
-        violations = home_violations + self._audit(inventories)
+        violations, leaked_blocks = await self._settle_and_audit()
         report = self._report(drained, violations, leaked_blocks)
         await self._shutdown_workers()
         await self.transport.close()
@@ -1935,7 +1880,6 @@ class NodeSupervisor:
                 "rolled_back": self.in_doubt_rolled_back,
                 "reverted": self.in_doubt_reverted,
             },
-            "in_transit_reconciled": self.in_transit_reconciled,
             "wal": {
                 "path": self.wal_path,
                 "records_appended": self.wal.appended,

@@ -317,9 +317,7 @@ class AsyncioTransport(Transport):
         for attempt in range(self.retry.max_attempts):
             if attempt > 0:
                 self.reconnects += 1
-                await asyncio.sleep(
-                    self.retry.backoff(attempt - 1, self._jitter)
-                )
+                await asyncio.sleep(self.backoff(attempt - 1))
             if self._closed:
                 raise TransportClosedError("transport closed during connect")
             try:
@@ -381,9 +379,7 @@ class AsyncioTransport(Transport):
         last_error: Optional[BaseException] = None
         for attempt in range(self.retry.max_attempts):
             if attempt > 0:
-                await asyncio.sleep(
-                    self.retry.backoff(attempt - 1, self._jitter)
-                )
+                await asyncio.sleep(self.backoff(attempt - 1))
             try:
                 writer = await self._connect(dst)
                 # _connect registered this writer's lock.
@@ -479,9 +475,7 @@ class AsyncioTransport(Transport):
             else:
                 loop.call_later(delay, self._write_pinned, writer, copy_)
         outstanding.retries += 1
-        self._arm(
-            outstanding, self.retry.backoff(outstanding.retries, self._jitter)
-        )
+        self._arm(outstanding, self.backoff(outstanding.retries))
 
     def _write_pinned(self, writer, envelope: Envelope) -> None:
         """Write one whole frame without waiting (a retransmit)."""
@@ -490,6 +484,10 @@ class AsyncioTransport(Transport):
         writer.write(encode_frame(envelope.encode(), self.max_payload))
         self.remote_messages += 1
         self.frames_sent += 1
+
+    def backoff(self, retry_index: int) -> float:
+        """Jittered delay before retry ``retry_index`` (0-based)."""
+        return self.retry.backoff(retry_index, self._jitter)
 
     def _spawn(self, coro) -> None:
         task = asyncio.get_running_loop().create_task(coro)
@@ -569,7 +567,7 @@ class AsyncioTransport(Transport):
                     # if the fault filter dropped the frame before any
                     # was).
                     outstanding.writer = await self._connect(dst)
-                    self._arm(outstanding, self.retry.backoff(0, self._jitter))
+                    self._arm(outstanding, self.backoff(0))
             reply = await outstanding.future
         except asyncio.TimeoutError:
             raise TimeoutError(

@@ -37,7 +37,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import WalCorruptionError
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
@@ -258,6 +258,8 @@ class WalState:
     supervisor_starts: int = 0
     max_block_id: int = 0
     max_transfer_id: int = 0
+    #: Home-granted transfer ids whose commit was mirrored.
+    mirrored: Set[int] = field(default_factory=set)
 
     def apply(self, record: WalRecord) -> bool:
         """Fold one record in; False when skipped as already applied."""
@@ -327,6 +329,8 @@ class WalState:
                 self.home[int(slice_id)] = data["node"]
         elif kind == PLACE_MIRROR:
             self.placement[data["object_id"]] = data["node"]
+            if data.get("transfer_id") is not None:
+                self.mirrored.add(data["transfer_id"])
         # Unknown kinds are skipped (forward compatibility), but their
         # seq still advances last_seq above.
         return True

@@ -66,8 +66,7 @@ HOME_MAP = "home.map"  # supervisor -> worker: slice -> home node map
 HOME_STATE = "home.state"  # supervisor <- worker: authoritative placements
 PLACE_NOTICE = "place.notice"  # home -> supervisor: mirror a commit to WAL
 BREAK_HOMED = "break.homed"  # supervisor -> homes: a peer died, break it
-SETTLE_HOMED = "settle.homed"  # supervisor -> worker: evict/restore lists
-SETTLE = "settle"  # supervisor -> homes: drain-time transfer settlement
+SETTLE = "settle"  # supervisor -> homes: drain report
 
 #: Node id of the supervisor on the live control plane.
 SUPERVISOR = -1
@@ -236,7 +235,6 @@ __all__ = [
     "SEED",
     "SET_FAULTS",
     "SETTLE",
-    "SETTLE_HOMED",
     "SHUTDOWN",
     "START",
     "STATS",

@@ -9,6 +9,12 @@ PLACE never reached the destination — is checked decision-by-decision
 and then executed, asserting the journaled records, restored
 placements and settlement notices.
 
+The settlement regressions run supervisor and workers in memory on a
+stub network that loses chosen messages: a verdict (EVICT, RESTORE,
+PLACE_NOTICE) is retried until acknowledged, dropped only when its
+holder's incarnation is dead, and a copy stranded at drain is a named
+audit violation, not a silent repair.
+
 The end-to-end smoke then SIGKILLs a real arbiter mid-migration
 (:class:`KillSupervisor`) under both arbitration modes and asserts the
 acceptance criteria: recovery happened, migrations continued, zero
@@ -16,9 +22,11 @@ inventory-audit violations.
 """
 
 import asyncio
+import itertools
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -29,6 +37,7 @@ from repro.availability.livechaos import (
     LivePartition,
     kill_supervisor_schedule,
 )
+from repro.errors import ConnectionLostError, TimeoutError
 from repro.runtime.live import wal as wal_module
 from repro.runtime.live.demo import run_supervised
 from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
@@ -39,6 +48,7 @@ from repro.runtime.live.wire import (
     HOME_ASSIGN,
     MOVE_REQUEST,
     PLACE,
+    PLACE_NOTICE,
     RESTORE,
     SUPERVISOR,
     Envelope,
@@ -286,8 +296,10 @@ class TestSettlementExecution:
 
     def test_settle_in_doubt_executes_all_three_paths(self, recovered):
         notices = []
-        recovered._notify = lambda node, kind, transfer: notices.append(
-            (node, kind, transfer.transfer_id)
+        recovered.outbox.post = (
+            lambda node, kind, payload, trace=None: notices.append(
+                (node, kind, payload["transfer_id"])
+            )
         )
         asyncio.run(
             recovered._settle_in_doubt(
@@ -344,7 +356,9 @@ class TestPlaceIdempotence:
         supervisor = NodeSupervisor(config)
         replies = self._capture(supervisor)
         notices = []
-        supervisor._notify = lambda node, kind, transfer: notices.append(kind)
+        supervisor.outbox.post = (
+            lambda node, kind, payload, trace=None: notices.append(kind)
+        )
 
         async def scenario():
             await supervisor.handle(
@@ -371,8 +385,8 @@ class TestPlaceIdempotence:
         home = LiveNodeWorker(3, ("unix", "unused"), {}, [])
         replies = self._capture(home)
         notices = []
-        home._notify = lambda node, kind, payload, trace=None: notices.append(
-            kind
+        home.outbox.post = (
+            lambda node, kind, payload, trace=None: notices.append(kind)
         )
 
         async def scenario():
@@ -393,6 +407,248 @@ class TestPlaceIdempotence:
         assert replies[-1] == {"ok": True}
         assert home.home_placement == placement == {0: 2}
         assert notices.count(EVICT) == 1, notices
+
+    def test_place_notice_retry_mirrors_once(self, tmp_path):
+        # A home retries its notice until acknowledged, also across an
+        # arbiter restart: one WAL mirror and one commit per transfer.
+        config = SupervisorConfig(
+            num_nodes=3,
+            num_objects=6,
+            socket_dir=str(tmp_path),
+            wal_fsync=False,
+            arbitration="home",
+        )
+        notice = {"transfer_id": 1_000_001, "object_id": 0, "node": 2}
+
+        def deliver(supervisor, seqs):
+            replies = self._capture(supervisor)
+            for seq in seqs:
+                asyncio.run(
+                    supervisor.handle(
+                        Envelope(PLACE_NOTICE, 1, SUPERVISOR, (1, seq),
+                                 dict(notice))
+                    )
+                )
+            supervisor.wal.close()
+            return replies
+
+        supervisor = NodeSupervisor(config)
+        assert deliver(supervisor, (1, 2)) == [{"ok": True}] * 2
+        assert supervisor.commits == 1 and supervisor.placement[0] == 2
+        recovered = NodeSupervisor(config, recover=True)
+        assert deliver(recovered, (3,)) == [{"ok": True}]
+        assert recovered.commits == 0
+        _, records = wal_module.replay(supervisor.wal_path)
+        assert [r.kind for r in records].count(wal_module.PLACE_MIRROR) == 1
+
+
+class StubNet:
+    """In-memory routing of requests between endpoints; no sockets.
+
+    A request runs the addressee's ``handle`` and returns the reply it
+    sent.  ``lose(dst, kind)`` is asked on every delivery attempt and
+    returns None (delivered) or the error the sender sees instead.
+    """
+
+    def __init__(self, lose=lambda dst, kind: None):
+        self.endpoints = {}
+        self.lose = lose
+        self.attempts = []
+        self.replies = {}
+        self._seq = itertools.count(1)
+
+    def attach(self, node_id, endpoint):
+        self.endpoints[node_id] = endpoint
+
+        async def request(dst, kind, payload=None, timeout=5.0, trace=None):
+            self.attempts.append((dst, kind))
+            error = self.lose(dst, kind)
+            if error is not None:
+                raise error
+            envelope = Envelope(
+                kind, node_id, dst, (node_id, next(self._seq)),
+                dict(payload or {}), trace=trace,
+            )
+            await self.endpoints[dst].handle(envelope)
+            return Envelope(
+                "reply", dst, node_id, (dst, next(self._seq)),
+                self.replies.pop(envelope.msg_id), reply_to=envelope.msg_id,
+            )
+
+        async def reply(request, payload=None):
+            self.replies[request.msg_id] = payload
+
+        endpoint.transport.request = request
+        endpoint.transport.reply = reply
+
+
+def lose_first(kind, count=1):
+    """A loss schedule: the first ``count`` deliveries of ``kind`` time out."""
+    lost = []
+
+    def lose(dst, sent_kind):
+        if sent_kind == kind and len(lost) < count:
+            lost.append(dst)
+            return TimeoutError(f"{kind!r} to node {dst} lost")
+        return None
+
+    return lose
+
+
+def fleet(tmp_path, arbitration, lose, drain_timeout=10.0):
+    """A supervisor and three in-memory workers on one :class:`StubNet`."""
+    config = SupervisorConfig(
+        num_nodes=3,
+        num_objects=6,
+        socket_dir=str(tmp_path),
+        wal_fsync=False,
+        arbitration=arbitration,
+        drain_timeout=drain_timeout,
+    )
+    supervisor = NodeSupervisor(config)
+    net = StubNet(lose)
+    net.attach(SUPERVISOR, supervisor)
+    workers = {}
+    for node in supervisor.worker_ids:
+        workers[node] = LiveNodeWorker(
+            node, ("unix", "unused"), {}, supervisor._seed_states(node),
+            arbitration=arbitration, num_slices=3,
+        )
+        net.attach(node, workers[node])
+    return supervisor, workers, net
+
+
+class TestAcknowledgedSettlement:
+    """Every verdict is acknowledged or provably moot; the drain audit
+    sees the fleet exactly as the settlement left it.  Objects 0..5
+    start at node ``1 + oid % 3``, which is also each object's home."""
+
+    def test_lost_first_evict_still_evicts(self, tmp_path):
+        supervisor, workers, net = fleet(tmp_path, "home", lose_first(EVICT))
+
+        async def scenario():
+            await supervisor._assign_homes()
+            await workers[2]._move_block(0, 1)
+            await supervisor._settle_homes()
+
+        asyncio.run(scenario())
+        assert workers[2].stats.migrations == 1
+        assert net.attempts.count((1, EVICT)) == 2
+        assert workers[1].in_transit == {} and 0 not in workers[1].objects
+        assert asyncio.run(supervisor._settle_and_audit()) == ([], 0)
+        supervisor.wal.close()
+
+    def test_lost_home_band_restore_still_restores(self, tmp_path):
+        # The mover's PLACE is lost, so it rolls back at the home; the
+        # home's first RESTORE to the source is lost too.
+        lose_place = lose_first(PLACE)
+        lose_restore = lose_first(RESTORE)
+        supervisor, workers, net = fleet(
+            tmp_path, "home",
+            lambda dst, kind: lose_place(dst, kind) or lose_restore(dst, kind),
+        )
+
+        async def scenario():
+            await supervisor._assign_homes()
+            await workers[3]._move_block(0, 1)
+            await supervisor._settle_homes()
+
+        asyncio.run(scenario())
+        assert workers[3].stats.aborted == 1
+        assert net.attempts.count((1, RESTORE)) == 2
+        assert workers[1].in_transit == {} and 0 in workers[1].objects
+        assert asyncio.run(supervisor._settle_and_audit()) == ([], 0)
+        supervisor.wal.close()
+
+    def test_verdict_for_respawned_holder_is_dropped_at_once(self, tmp_path):
+        # Node 1 dies holding the copy of a rolled-back transfer; its
+        # RESTORE can never land, and the respawn makes it moot.
+        dead = set()
+
+        def lose(dst, kind):
+            if kind == PLACE and not dead:
+                dead.add(1)
+                return TimeoutError("PLACE lost")
+            if dst in dead:
+                return ConnectionLostError(f"node {dst} is down", peer=dst)
+            return None
+
+        supervisor, workers, net = fleet(
+            tmp_path, "central", lose, drain_timeout=3.0
+        )
+
+        async def no_op(*args, **kwargs):
+            return None
+
+        supervisor._spawn = lambda node: None
+        supervisor._kill_worker = lambda node, sig=None: True
+        supervisor._wait_for_heartbeat = no_op
+        supervisor._start_workload = no_op
+
+        async def scenario():
+            await workers[2]._move_block(0, 1)
+            await asyncio.sleep(0.01)  # the RESTORE finds node 1 down
+            await supervisor._respawn(1)
+            started = time.monotonic()
+            await supervisor._settle_transfers()
+            return time.monotonic() - started
+
+        elapsed = asyncio.run(scenario())
+        supervisor.wal.close()
+        assert workers[2].stats.aborted == 1
+        assert (1, RESTORE) in net.attempts
+        assert elapsed < 0.5, f"settlement spun {elapsed:.2f}s on a moot verdict"
+        assert supervisor.outbox.dropped == 1
+
+    def test_copy_stranded_at_drain_is_a_named_violation(self, tmp_path):
+        # Node 1 never acknowledges the EVICT of a committed transfer:
+        # the audit names the copy instead of repairing it.
+        supervisor, workers, net = fleet(
+            tmp_path, "central",
+            lambda dst, kind: (
+                TimeoutError("EVICT lost") if kind == EVICT else None
+            ),
+            drain_timeout=0.3,
+        )
+
+        async def scenario():
+            await workers[2]._move_block(0, 1)
+            return await supervisor._settle_and_audit()
+
+        violations, _ = asyncio.run(scenario())
+        supervisor.wal.close()
+        assert workers[2].stats.migrations == 1
+        assert violations == [
+            "transfer 1: node 1 (incarnation 0) still holds obj 0 in "
+            "transit; arbiter verdict placed"
+        ]
+
+
+class TestSliceReassignment:
+    def test_stale_mirror_cannot_lose_a_dead_homes_object(self, tmp_path):
+        # Object 1 went 2 -> 1 -> 2 under home 2, and home 2 died before
+        # the second commit reached the supervisor's mirror.  Node 1
+        # answers without the object, so it must be re-seeded at 2.
+        dead = set()
+        supervisor, workers, net = fleet(
+            tmp_path, "home",
+            lambda dst, kind: (
+                ConnectionLostError(f"node {dst} is down", peer=dst)
+                if dst in dead else None
+            ),
+        )
+
+        async def scenario():
+            await supervisor._assign_homes()
+            supervisor.placement[1] = 1
+            dead.add(2)
+            await supervisor._reassign_slices(2, [1], [1, 3])
+
+        asyncio.run(scenario())
+        supervisor.wal.close()
+        assert 1 in workers[2].objects and 1 not in workers[1].objects
+        assert supervisor.placement[1] == 2
+        assert supervisor._seed_states(2)[0]["object_id"] == 1
 
 
 def _run_kill_scenario(arbitration, queue):

@@ -139,7 +139,7 @@ def supervisor(tmp_path):
         sup.replies.append(payload)
 
     sup.transport.reply = capture_reply
-    sup._notify = lambda node, kind, transfer: None
+    sup.outbox.post = lambda node, kind, payload, trace=None: None
     yield sup
     sup.wal.close()
 
