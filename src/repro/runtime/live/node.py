@@ -15,21 +15,15 @@ move-block loop against an *arbiter*:
 4. Local invocations inside the block, then ``END_REQUEST`` releases
    the place-policy lock.
 
-Who the arbiter *is* depends on the deployment's arbitration mode:
-
-``central``
-    The supervisor process grants every lock (PR 8's design, now
-    journaled to the arbitration WAL so the arbiter itself may crash).
-
-``home``
-    The object space is partitioned into slices (``object_id %
-    num_slices``) and each worker is *home node* for its slices,
-    granting move-block leases for its own objects peer-to-peer — the
-    supervisor is demoted to spawner / failure detector /
-    home-reassigner.  A home node runs the same ``LockManager`` +
-    transfer-fence machinery the supervisor runs centrally; commits
-    are mirrored to the supervisor (``PLACE_NOTICE``) so the WAL keeps
-    an ownership record to reassign slices from when a home dies.
+The arbiter is one :class:`~repro.runtime.live.arbiter.Arbiter`,
+wherever the object's slice (``object_id % num_slices``) is homed: at
+the supervisor (central arbitration, journaled to the arbitration WAL
+so the arbiter itself may crash), or at a peer worker (home
+arbitration).  Every worker owns an arbiter for the slices the
+supervisor homes at it; a worker's commits are mirrored to the
+supervisor (``PLACE_NOTICE``) so the WAL keeps an ownership record to
+reassign slices from when a home dies.  A mover asks the home its map
+names, and the supervisor when the map names none.
 
 Denied movers degrade to remote ``INVOKE`` at the object's current
 location — §3.2's graceful degradation, now across real processes.
@@ -53,15 +47,12 @@ import os
 import random
 import signal
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.locking import LockManager
-from repro.core.moveblock import MoveBlock
 from repro.errors import ConnectionLostError, TimeoutError, TransportClosedError
+from repro.runtime.live.arbiter import KINDS, Arbiter
 from repro.runtime.live.outbox import SettlementOutbox
 from repro.runtime.live.transport import AsyncioTransport, FaultyTransport
-from repro.runtime.live.wal import TRANSFER_BAND, TransferLogEntry
 from repro.runtime.live.wire import (
     BREAK_HOMED,
     DRAIN,
@@ -76,7 +67,6 @@ from repro.runtime.live.wire import (
     MOVE_REQUEST,
     OBJECT_TRANSFER,
     PLACE,
-    PLACE_NOTICE,
     RESTORE,
     ROLLBACK,
     SEED,
@@ -158,9 +148,6 @@ class WorkerStats:
     moved_object_ids: List[int] = field(default_factory=list)
     #: Wall-clock seconds per completed migration (bounded sample).
     transfer_latencies: List[float] = field(default_factory=list)
-    #: Grants/denials served while acting as a home node.
-    home_grants: int = 0
-    home_denials: int = 0
     #: OBJECT_TRANSFERs refused because they were granted to a
     #: predecessor incarnation of this worker.
     stale_pulls_refused: int = 0
@@ -177,20 +164,8 @@ class WorkerStats:
             "remote_invocations": self.remote_invocations,
             "moved_object_ids": list(self.moved_object_ids),
             "transfer_latencies": list(self.transfer_latencies),
-            "home_grants": self.home_grants,
-            "home_denials": self.home_denials,
             "stale_pulls_refused": self.stale_pulls_refused,
         }
-
-
-class _PeerDown:
-    """``health`` adapter naming one dead peer for ``break_crashed``."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-
-    def is_down(self, node_id: int) -> bool:
-        return node_id == self.node_id
 
 
 class LiveNodeWorker:
@@ -206,7 +181,6 @@ class LiveNodeWorker:
         request_timeout: float = 3.0,
         rng_seed: int = 0,
         incarnation: int = 0,
-        arbitration: str = "central",
         num_slices: int = 0,
         lease_duration: float = 5.0,
         orphan_grace: float = 0.0,
@@ -268,31 +242,25 @@ class LiveNodeWorker:
         self._workload_done = asyncio.Event()
         self._workload_done.set()  # no workload until START arrives
         self._workload_params: Dict[str, Any] = {}
-        # -- home-node arbitration state (inert under central mode) --
-        self.arbitration = arbitration
         self.num_slices = num_slices
         #: slice -> home node, as last broadcast by the supervisor.
         self.home_map: Dict[int, int] = {}
         #: worker -> current incarnation, broadcast with the home map;
         #: a home stamps the source's onto every grant it makes.
         self.incarnations: Dict[int, int] = {}
-        #: Slices this worker is home for.
-        self.home_slices: Set[int] = set()
-        #: Authoritative placement for objects in our slices.
-        self.home_placement: Dict[int, int] = {}
-        #: Lockable stand-ins for our slice's objects (lock state only —
-        #: the *hosted* object may live on any worker).
-        self.home_records: Dict[int, LiveObject] = {}
-        self.home_locks = LockManager(
-            clock=self.transport.clock, lease_duration=lease_duration
-        )
-        self.home_blocks: Dict[int, MoveBlock] = {}
-        self.home_transfers: Dict[int, TransferLogEntry] = {}
-        self._home_seq = count(1)
         #: Every EVICT / RESTORE / PLACE_NOTICE this home owes, retried
         #: until acknowledged or the addressee's incarnation is dead.
         self.outbox = SettlementOutbox(
             self.transport, self.incarnations, request_timeout
+        )
+        #: Arbiter for the slices homed here (none until HOME_ASSIGN).
+        self.arbiter = Arbiter(
+            node_id,
+            self.transport.clock,
+            lease_duration,
+            self.incarnations,
+            self.outbox,
+            telemetry=self.telemetry,
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -396,32 +364,21 @@ class LiveNodeWorker:
             obj = self.in_transit.pop(transfer_id, None)
             if obj is not None and kind == RESTORE:
                 self.objects[obj.object_id] = obj
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        f"live.{kind}",  # live.evict / live.restore
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        transfer=transfer_id,
-                        held=obj is not None,
-                    )
-                )
-            await self.transport.reply(envelope, {"ok": True})
-        elif kind == MOVE_REQUEST:
-            await self._serve_home_move(envelope)
-        elif kind == PLACE:
-            await self._serve_home_place(envelope)
-        elif kind == ROLLBACK:
-            await self._serve_home_rollback(envelope)
-        elif kind == END_REQUEST:
-            block = self.home_blocks.pop(envelope.payload["block_id"], None)
-            released = (
-                self.home_locks.release_block(block) if block else 0
+            self._mark(  # live.evict / live.restore
+                f"live.{kind}",
+                envelope,
+                transfer=transfer_id,
+                held=obj is not None,
             )
-            await self.transport.reply(envelope, {"released": released})
+            await self.transport.reply(envelope, {"ok": True})
+        elif kind in KINDS:
+            await self.arbiter.serve(envelope)
         elif kind == HOME_ASSIGN:
-            await self._serve_home_assign(envelope)
+            # Become home for these slices, with their placements.
+            self.arbiter.assign(envelope.payload["placement"])
+            for slice_id in envelope.payload["slices"]:
+                self.home_map[slice_id] = self.node_id
+            await self.transport.reply(envelope, {"ok": True})
         elif kind == HOME_MAP:
             self.home_map = dict(envelope.payload["map"])
             self.num_slices = envelope.payload.get(
@@ -432,35 +389,24 @@ class LiveNodeWorker:
             await self.transport.reply(envelope, {"ok": True})
         elif kind == HOME_STATE:
             await self.transport.reply(
-                envelope,
-                {
-                    "slices": sorted(self.home_slices),
-                    "placement": dict(self.home_placement),
-                    "pending": [
-                        t.transfer_id
-                        for t in self.home_transfers.values()
-                        if t.state == "pending"
-                    ],
-                },
+                envelope, {"placement": dict(self.arbiter.placement)}
             )
         elif kind == BREAK_HOMED:
-            await self._serve_break_homed(envelope)
+            # A peer died: break its leases, settle its transfers here.
+            reply, verdicts = self.arbiter.break_node(envelope.payload["node"])
+            self.arbiter.post(verdicts)
+            await self.transport.reply(envelope, reply)
         elif kind == SETTLE:
-            await self._serve_settle(envelope)
+            await self.transport.reply(
+                envelope, await self.arbiter.drain(self.request_timeout)
+            )
         elif kind == SEED:
             for state in envelope.payload["objects"]:
                 obj = LiveObject.from_state(state)
                 self.objects[obj.object_id] = obj
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.seed",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        count=len(envelope.payload["objects"]),
-                    )
-                )
+            self._mark(
+                "live.seed", envelope, count=len(envelope.payload["objects"])
+            )
             await self.transport.reply(
                 envelope, {"ok": True, "count": len(self.objects)}
             )
@@ -473,21 +419,16 @@ class LiveNodeWorker:
             asyncio.ensure_future(self._workload())
             await self.transport.reply(envelope, {"ok": True})
         elif kind == STATS:
-            await self.transport.reply(envelope, self.stats.as_dict())
+            await self.transport.reply(envelope, self._stats())
         elif kind == DRAIN:
             await self._serve_drain(envelope)
         elif kind == INVENTORY:
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.inventory",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        objects=len(self.objects),
-                        in_transit=len(self.in_transit),
-                    )
-                )
+            self._mark(
+                "live.inventory",
+                envelope,
+                objects=len(self.objects),
+                in_transit=len(self.in_transit),
+            )
             await self.transport.reply(
                 envelope,
                 {
@@ -505,6 +446,18 @@ class LiveNodeWorker:
         elif kind == SHUTDOWN:
             await self.transport.reply(envelope, {"ok": True})
             self._stopping.set()
+
+    def _mark(self, name: str, envelope: Envelope, **tags: Any) -> None:
+        """Record an instant span joining ``envelope``'s trace."""
+        if self.telemetry.enabled:
+            span = self.telemetry.start_span(
+                name,
+                node=self.node_id,
+                remote=envelope.trace,
+                detached=True,
+                **tags,
+            )
+            self.telemetry.end_span(span)
 
     async def _serve_transfer(self, envelope: Envelope) -> None:
         """Source side of a migration: hand the state out, hold a copy.
@@ -525,18 +478,13 @@ class LiveNodeWorker:
             obj = None
         else:
             obj = self.objects.pop(object_id, None)
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.transfer.serve",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    object=object_id,
-                    transfer=transfer_id,
-                    held=obj is not None,
-                )
-            )
+        self._mark(
+            "live.transfer.serve",
+            envelope,
+            object=object_id,
+            transfer=transfer_id,
+            held=obj is not None,
+        )
         if obj is None:
             await self.transport.reply(envelope, {"state": None})
             return
@@ -598,238 +546,24 @@ class LiveNodeWorker:
             self._writer.flush()
         await self.transport.reply(
             envelope,
-            {
-                "stats": self.stats.as_dict(),
-                "transport": self.transport.stats(),
-            },
+            {"stats": self._stats(), "transport": self.transport.stats()},
         )
 
-    # -- home-node arbitration: this worker as the §3.2 arbiter ---------------
-
-    async def _serve_home_assign(self, envelope: Envelope) -> None:
-        """Become home for the given slices with their placements."""
-        for slice_id in envelope.payload["slices"]:
-            self.home_slices.add(slice_id)
-            self.home_map[slice_id] = self.node_id
-        for oid, where in envelope.payload["placement"].items():
-            self.home_placement[oid] = where
-            if oid not in self.home_records:
-                self.home_records[oid] = LiveObject(oid)
-        await self.transport.reply(
-            envelope, {"ok": True, "slices": sorted(self.home_slices)}
-        )
-
-    async def _serve_home_move(self, envelope: Envelope) -> None:
-        """§3.2 at a peer home node: grant the lock or answer "locked"."""
-        decision = self._home_move_decision(envelope)
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.grant",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    object=envelope.payload["object_id"],
-                    granted=decision["granted"],
-                )
-            )
-        await self.transport.reply(envelope, decision)
-
-    def _home_move_decision(self, envelope: Envelope) -> Dict[str, Any]:
-        """The grant-or-deny decision behind :meth:`_serve_home_move`."""
-        object_id = envelope.payload["object_id"]
-        mover = envelope.src
-        in_slice = (
-            self.num_slices > 0
-            and object_id % self.num_slices in self.home_slices
-        )
-        if not in_slice or object_id not in self.home_placement:
-            # Stale map at the mover (slice reassigned): not ours.
-            return {
-                "granted": False,
-                "location": self.home_placement.get(object_id),
-                "not_home": True,
-            }
-        record = self.home_records[object_id]
-        if self.home_locks.is_locked(record):
-            self.stats.home_denials += 1
-            return {
-                "granted": False,
-                "location": self.home_placement[object_id],
-            }
-        block = MoveBlock(client_node=mover, target=record)
-        try:
-            self.home_locks.lock(record, block)
-        except Exception:
-            self.stats.home_denials += 1
-            return {
-                "granted": False,
-                "location": self.home_placement[object_id],
-            }
-        self.stats.home_grants += 1
-        self.home_blocks[block.block_id] = block
-        source = self.home_placement[object_id]
-        transfer_id = None
-        if source != mover:
-            # Band the id by home node: two homes can never mint the
-            # same transfer id, and recovery can attribute any id to
-            # the home that granted it.
-            transfer_id = self.node_id * TRANSFER_BAND + next(self._home_seq)
-            self.home_transfers[transfer_id] = TransferLogEntry(
-                transfer_id=transfer_id,
-                object_id=object_id,
-                src=source,
-                dst=mover,
-                block_id=block.block_id,
-            )
+    def _stats(self) -> Dict[str, Any]:
+        """Workload counters plus the grants and denials served as a home."""
         return {
-            "granted": True,
-            "source": source,
-            "incarnation": self.incarnations.get(source, 0),
-            "block_id": block.block_id,
-            "transfer_id": transfer_id,
+            **self.stats.as_dict(),
+            "home_grants": self.arbiter.grants,
+            "home_denials": self.arbiter.denials,
         }
-
-    async def _serve_home_place(self, envelope: Envelope) -> None:
-        """The linearization point, at the home: commit or fence out.
-
-        Idempotent by transfer id: the destination asking again for a
-        transfer already placed for it is told ``ok`` and nothing is
-        committed twice.
-        """
-        transfer = self.home_transfers.get(envelope.payload["transfer_id"])
-        already_placed = (
-            transfer is not None
-            and transfer.state == "placed"
-            and transfer.dst == envelope.src
-            and self.home_placement.get(transfer.object_id) == transfer.dst
-        )
-        ok = already_placed or (
-            transfer is not None
-            and transfer.state == "pending"
-            and transfer.dst == envelope.src
-            and transfer.block_id in self.home_blocks
-            and not self.home_locks.was_broken(
-                self.home_blocks[transfer.block_id]
-            )
-        )
-        if ok and not already_placed:
-            transfer.state = "placed"
-            self.home_placement[transfer.object_id] = transfer.dst
-            self.outbox.tell_source(transfer, EVICT, trace=envelope.trace)
-            # Mirror the commit to the supervisor's WAL so a dead
-            # home's slice can be reassigned from durable ownership
-            # records.  Retried across a supervisor restart: the
-            # recovered supervisor mirrors it once.
-            self.outbox.post(
-                SUPERVISOR,
-                PLACE_NOTICE,
-                {
-                    "transfer_id": transfer.transfer_id,
-                    "object_id": transfer.object_id,
-                    "node": transfer.dst,
-                },
-                trace=envelope.trace,
-            )
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.place",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    transfer=envelope.payload["transfer_id"],
-                    ok=ok,
-                )
-            )
-        await self.transport.reply(envelope, {"ok": ok})
-
-    async def _serve_home_rollback(self, envelope: Envelope) -> None:
-        """Abort a home-granted transfer; restore the source's copy."""
-        transfer = self.home_transfers.get(envelope.payload["transfer_id"])
-        ok = transfer is not None and transfer.state == "pending"
-        if ok:
-            transfer.state = "rolled_back"
-            self.outbox.tell_source(transfer, RESTORE, trace=envelope.trace)
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.rollback",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    transfer=envelope.payload["transfer_id"],
-                    ok=ok,
-                )
-            )
-        await self.transport.reply(envelope, {"ok": ok})
-
-    async def _serve_break_homed(self, envelope: Envelope) -> None:
-        """A peer died: break its leases, settle its transfers locally.
-
-        Mirrors the central supervisor's ``_restart_inner`` lock
-        recovery, but only for the state *this* home arbitrates.
-        """
-        dead = envelope.payload["node"]
-        before = set(self.home_locks._broken)
-        broken = self.home_locks.break_crashed(_PeerDown(dead))
-        for block_id in self.home_locks._broken - before:
-            self.home_blocks.pop(block_id, None)
-        for transfer in self.home_transfers.values():
-            if transfer.state != "pending":
-                continue
-            if transfer.dst == dead:
-                transfer.state = "rolled_back"
-                if transfer.src != dead:
-                    self.outbox.tell_source(transfer, RESTORE)
-            elif transfer.src == dead:
-                # Source died holding the held-back copy: state lost,
-                # placement never moved — the supervisor re-seeds it.
-                transfer.state = "failed"
-        await self.transport.reply(envelope, {"broken": broken})
-
-    async def _serve_settle(self, envelope: Envelope) -> None:
-        """Drain report: settle everything this home arbitrates.
-
-        Rolls back the pending transfers, awaits the outbox, and
-        reports placements, verdicts and lock state to the supervisor.
-        """
-        leaked = 0
-        for transfer in self.home_transfers.values():
-            if transfer.state == "pending":
-                transfer.state = "rolled_back"
-                self.outbox.tell_source(transfer, RESTORE)
-        for block in list(self.home_blocks.values()):
-            leaked += 1 if self.home_locks.release_block(block) else 0
-        self.home_blocks.clear()
-        await self.outbox.drained(self.request_timeout)
-        lock_violations: List[str] = []
-        try:
-            self.home_locks.check_invariant()
-        except AssertionError as exc:
-            lock_violations.append(f"home {self.node_id}: {exc}")
-        await self.transport.reply(
-            envelope,
-            {
-                "leaked_blocks": leaked,
-                "placement": dict(self.home_placement),
-                "verdicts": {
-                    t.transfer_id: t.state
-                    for t in self.home_transfers.values()
-                },
-                "lock_violations": lock_violations,
-            },
-        )
 
     # -- the workload: concurrent movers --------------------------------------
 
     def _arbiter_for(self, object_id: int) -> int:
-        """Who grants moves for this object (mode-dependent)."""
-        if self.arbitration == "home" and self.num_slices > 0:
-            return self.home_map.get(
-                object_id % self.num_slices, SUPERVISOR
-            )
-        return SUPERVISOR
+        """The home of the object's slice, else the supervisor."""
+        if not self.num_slices:
+            return SUPERVISOR
+        return self.home_map.get(object_id % self.num_slices, SUPERVISOR)
 
     async def _workload(self) -> None:
         params = self._workload_params
@@ -1073,7 +807,6 @@ def worker_main(
     request_timeout: float,
     rng_seed: int,
     incarnation: int = 0,
-    arbitration: str = "central",
     num_slices: int = 0,
     lease_duration: float = 5.0,
     orphan_grace: float = 0.0,
@@ -1089,7 +822,6 @@ def worker_main(
         request_timeout=request_timeout,
         rng_seed=rng_seed,
         incarnation=incarnation,
-        arbitration=arbitration,
         num_slices=num_slices,
         lease_duration=lease_duration,
         orphan_grace=orphan_grace,

@@ -47,19 +47,6 @@ class SettlementOutbox:
         self._pending[task] = (node, self.incarnations.get(node, 0))
         task.add_done_callback(self._finished)
 
-    def tell_source(
-        self,
-        transfer,
-        kind: str,
-        trace: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Post a transfer's verdict, EVICT or RESTORE, to its source."""
-        payload = {
-            "transfer_id": transfer.transfer_id,
-            "object_id": transfer.object_id,
-        }
-        self.post(transfer.src, kind, payload, trace)
-
     async def _deliver(self, node, kind, payload, trace) -> None:
         retries = 0
         while True:

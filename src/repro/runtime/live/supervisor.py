@@ -4,19 +4,20 @@ The supervisor is the live deployment's control plane, running under
 node id :data:`~repro.runtime.live.wire.SUPERVISOR`.  It plays five
 roles:
 
-**Arbiter (central mode).**  The paper's place-policy decision (§3.2)
-runs here against the *real* :class:`~repro.core.locking.LockManager`
-on a :class:`~repro.runtime.clock.WallClock`.  Every move-block is a
-real :class:`~repro.core.moveblock.MoveBlock`.  The supervisor is also
-the placement linearization point: a migration commits only when the
-destination's ``PLACE`` passes the transfer fence, so a lost ack or a
-partition can delay a migration but never duplicate an object.
+**Arbiter for the slices homed here.**  The supervisor owns one
+:class:`~repro.runtime.live.arbiter.Arbiter`, as every worker does.
+Under central arbitration every slice is homed at the supervisor, so
+its arbiter decides every move-block (§3.2) and is the placement
+linearization point; under home arbitration no slice is, so it answers
+``not_home`` and the workers' arbiters decide.  The mode only picks
+the initial home map.
 
 **Journal.**  Every arbitration transition — grant, PLACE commit,
-rollback, lease break, incarnation bump, home-slice assignment — is
-appended to the :class:`~repro.runtime.live.wal.ArbitrationWal`
-*before* the corresponding control message leaves the process.  The
-WAL is what makes the arbiter itself killable.
+rollback, lease break, incarnation bump, home-slice assignment, a
+home's mirrored commit — is appended to the
+:class:`~repro.runtime.live.wal.ArbitrationWal` *before* the
+corresponding control message leaves the process.  The WAL is what
+makes the arbiter itself killable.
 
 **Failure detector.**  Workers heartbeat over the control plane; the
 supervisor feeds :class:`~repro.runtime.failure.HeartbeatHistory`
@@ -27,20 +28,18 @@ therefore owns no process handles) can still manage the orphans its
 predecessor spawned.
 
 **Restart with lease recovery.**  A dead worker's in-flight blocks are
-reclaimed via ``LockManager.break_crashed`` — broken blocks are barred
-forever, so a zombie's late ``PLACE`` or lease renewal cannot
-resurrect exclusivity.  The node is respawned and re-seeded with the
-objects the placement map assigns it.  Under *home* arbitration the
-supervisor is demoted to exactly this role plus home-reassignment:
-peer home nodes grant the leases, and when one dies its slice is
-reassigned from the WAL-backed ownership records reconciled against
-live inventories.
+reclaimed at every arbiter that is home to something (``break_node``)
+— broken blocks are barred forever, so a zombie's late ``PLACE`` or
+lease renewal cannot resurrect exclusivity.  A dead worker's slices
+are reassigned from the WAL-backed ownership records reconciled
+against live inventories; then it is respawned and re-seeded with the
+objects the placement map assigns it.
 
 **Drain.**  Graceful shutdown asks each worker to finish its in-flight
 block and report stats + inventory under a hard deadline
-(:class:`~repro.errors.DrainTimeoutError` otherwise); the inventories
-are then audited against the placement map — every object exactly
-once, exactly where the map says.
+(:class:`~repro.errors.DrainTimeoutError` otherwise); every arbiter
+then settles, and the inventories are audited against the placement
+map — every object exactly once, exactly where the map says.
 
 Recovery (``recover=True``) replays the WAL, rebuilds lock/placement/
 fence state, waits for the orphaned workers to reconnect, and settles
@@ -52,11 +51,9 @@ present (hosted, or held in transit for a later transfer) means commit
 (evict the source's held-back copy), absent means the commit never
 reached the destination and is reverted to the source.
 """
-
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import multiprocessing
 import os
@@ -73,32 +70,31 @@ from repro.availability.livechaos import (
     LiveFaultWindow,
     LivePartition,
 )
-from repro.core.locking import LockManager
-from repro.core.moveblock import MoveBlock
 from repro.errors import ConnectionLostError, DrainTimeoutError, TimeoutError
 from repro.runtime.clock import WallClock
 from repro.runtime.failure import HeartbeatHistory
 from repro.runtime.live import wal as wal_module
+from repro.runtime.live.arbiter import KINDS, Arbiter, verdict
 from repro.runtime.live.node import LiveObject, worker_main
 from repro.runtime.live.outbox import SettlementOutbox
 from repro.runtime.live.transport import AsyncioTransport, unix_supported
-from repro.runtime.live.wal import TRANSFER_BAND, ArbitrationWal
+from repro.runtime.live.wal import (
+    TRANSFER_BAND,
+    ArbitrationWal,
+    TransferLogEntry,
+    WalState,
+)
 from repro.runtime.live.wire import (
     BREAK_HOMED,
     DRAIN,
-    END_REQUEST,
     EVICT,
     HEARTBEAT,
     HOME_ASSIGN,
     HOME_MAP,
     HOME_STATE,
     INVENTORY,
-    LOCATE,
-    MOVE_REQUEST,
-    PLACE,
     PLACE_NOTICE,
     RESTORE,
-    ROLLBACK,
     SET_FAULTS,
     SETTLE,
     SHUTDOWN,
@@ -118,6 +114,14 @@ from repro.telemetry.live import (
 
 #: Arbitration modes the config accepts.
 ARBITRATION_MODES = ("central", "home")
+
+#: A fault configuration with every data-plane fault healed.
+_HEALED = {
+    "drop_rate": 0.0,
+    "duplicate_rate": 0.0,
+    "delay_range": (0.0, 0.0),
+    "partitions": [],
+}
 
 
 @dataclass
@@ -141,8 +145,9 @@ class SupervisorConfig:
     max_duration: float = 20.0
     rng_seed: int = 0
     socket_dir: Optional[str] = None
-    #: Who grants move-block leases: the supervisor ("central") or the
-    #: per-slice home nodes, peer-to-peer ("home").
+    #: Where every slice is homed at start, and so who grants its
+    #: move-block leases: the supervisor ("central") or one worker per
+    #: slice, peer-to-peer ("home").
     arbitration: str = "central"
     #: Arbitration WAL location; default ``<socket_dir>/arbitration.wal``.
     wal_path: Optional[str] = None
@@ -183,32 +188,6 @@ class SupervisorConfig:
             )
 
 
-@dataclass
-class Transfer:
-    """One in-flight object transfer, fenced by id."""
-
-    transfer_id: int
-    object_id: int
-    src: int
-    dst: int
-    block_id: int
-    state: str = "pending"  # pending | placed | rolled_back | failed
-    #: Telemetry context of the mover's migration-root span, captured
-    #: from the MOVE_REQUEST envelope so EVICT/RESTORE notices join the
-    #: same cross-process trace.
-    trace: Optional[Tuple[int, int]] = None
-
-
-class _CrashedSet:
-    """``health`` adapter for ``LockManager.break_crashed``."""
-
-    def __init__(self):
-        self.down: Set[int] = set()
-
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self.down
-
-
 class NodeSupervisor:
     """Control plane for one live multi-process deployment."""
 
@@ -237,26 +216,20 @@ class NodeSupervisor:
         )
         self.worker_ids = list(range(1, config.num_nodes + 1))
         self.peers = self._address_map()
-        # The paper's lock machinery, verbatim, on wall time.
-        self.locks = LockManager(
-            clock=self.clock, lease_duration=config.lease_duration
-        )
-        self.records: Dict[int, LiveObject] = {
-            oid: LiveObject(oid) for oid in range(config.num_objects)
-        }
-        #: object id -> node currently hosting it.  In central mode
-        #: this is the authority; in home mode it is the WAL-mirrored
-        #: view the supervisor re-seeds and reassigns from.
+        #: object id -> node currently hosting it: the authority for the
+        #: objects homed here, the WAL-mirrored view of the rest that the
+        #: supervisor re-seeds and reassigns from.
         self.placement: Dict[int, int] = {
             oid: self.worker_ids[oid % len(self.worker_ids)]
             for oid in range(config.num_objects)
         }
-        self.blocks: Dict[int, MoveBlock] = {}
-        self.transfers: Dict[int, Transfer] = {}
-        self._transfer_ids = itertools.count(1)
-        #: slice -> home node (home arbitration; one slice per worker).
+        #: slice -> home node; the arbitration mode only picks this
+        #: initial map: every slice here, or slice ``i`` at worker ``i+1``.
         self.num_slices = config.num_nodes
-        self.home: Dict[int, int] = {}
+        self.home: Dict[int, int] = {
+            slice_id: SUPERVISOR if config.arbitration == "central" else w
+            for slice_id, w in enumerate(self.worker_ids)
+        }
         self.incarnations: Dict[int, int] = {w: 0 for w in self.worker_ids}
         self.supervisor_starts = 0
         #: Highest transfer id minted before the crash being recovered
@@ -266,11 +239,10 @@ class NodeSupervisor:
         self._wal_states: Dict[int, str] = {}
         #: Home-granted transfer ids whose commit is mirrored in the WAL.
         self._mirrored: Set[int] = set()
-        #: Verdicts of home-granted transfers, as the homes report them
-        #: at drain (and as this supervisor decided for a dead home's).
-        self._home_verdicts: Dict[int, str] = {}
-        if recover:
-            self._replay_wal()
+        #: Verdicts of transfers as their arbiters report them at drain
+        #: (and as this supervisor decided for a dead home's).
+        self.verdicts: Dict[int, str] = {}
+        state = self._replay_wal() if recover else None
         self.transport = AsyncioTransport(
             SUPERVISOR,
             self.peers[SUPERVISOR],
@@ -287,12 +259,32 @@ class NodeSupervisor:
         self.wal = ArbitrationWal(
             self.wal_path, fsync=config.wal_fsync, telemetry=telemetry
         )
+        #: The paper's lock machinery, verbatim, on wall time, for the
+        #: slices homed here; it journals to the WAL.
+        self.arbiter = Arbiter(
+            SUPERVISOR,
+            self.clock,
+            config.lease_duration,
+            self.incarnations,
+            self.outbox,
+            journal=self._log,
+            telemetry=telemetry,
+            placement=self.placement,
+        )
+        self.arbiter.assign(self._slice_placement(SUPERVISOR))
+        if state is not None:
+            self.arbiter.restore(state)
+        # A recovering supervisor denies every grant until its in-doubt
+        # settlement lands: granting would let live migrations race the
+        # settlement's inventory snapshot.  Movers degrade meanwhile.
+        self.arbiter.frozen = recover
         self.history = HeartbeatHistory(
             interval=config.heartbeat_interval,
             timeout=config.heartbeat_timeout,
             phi_threshold=config.phi_threshold,
         )
-        self.health = _CrashedSet()
+        #: Workers declared dead and not yet respawned.
+        self.down: Set[int] = set()
         self.processes: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: node id -> OS pid, learned from heartbeats — how a recovered
         #: supervisor manages workers it never spawned.
@@ -301,19 +293,17 @@ class NodeSupervisor:
         self._restarting: Set[int] = set()
         #: node id -> event the next HEARTBEAT from that node sets.
         self._heartbeats: Dict[int, asyncio.Event] = {}
-        #: Placements this incarnation committed: central PLACE commits
-        #: and home-mode PLACE_NOTICE mirrors.
-        self.commits = 0
-        #: Set by every commit from the ``target_migrations``-th on;
-        #: the run loop's stop check wakes on it.
+        #: Home commits this incarnation mirrored from a PLACE_NOTICE.
+        self._mirrors = 0
+        #: Set by every commit and arbitration message once ``commits``
+        #: reaches ``target_migrations``; the run loop's stop check
+        #: wakes on it.
         self._commit_wake = asyncio.Event()
         # Run ledger.
         self.restarts = 0
         self.crashes_seen = 0
         self.crashes_delivered = 0
         self.leases_broken_total = 0
-        self.conflicts = 0
-        self.grants = 0
         self.home_reassignments = 0
         self.in_doubt_committed = 0
         self.in_doubt_rolled_back = 0
@@ -337,73 +327,35 @@ class NodeSupervisor:
         #: In-doubt settlement verdicts cross-checked against flight
         #: evidence (filled by _recover when both exist).
         self._in_doubt_evidence: Dict[str, Any] = {}
-        self._last_settlement_plan: List[Tuple[str, Transfer]] = []
-        #: While True (a recovering supervisor, until the in-doubt
-        #: settlement lands) every new MOVE_REQUEST is denied: granting
-        #: would let live migrations race the settlement's inventory
-        #: snapshot.  Movers degrade to remote invocation meanwhile.
-        self._grants_frozen = recover
+        self._last_settlement_plan: List[Tuple[str, TransferLogEntry]] = []
 
     # -- WAL ------------------------------------------------------------------
 
-    def _replay_wal(self) -> None:
-        """Rebuild arbitration state from the predecessor's journal."""
+    def _replay_wal(self) -> WalState:
+        """Rebuild state from the predecessor's journal; returns it.
+
+        The arbiter restores its own share (transfers, open blocks)
+        once it is built.
+        """
         span = (
             self.telemetry.start_span("wal.replay", node=SUPERVISOR)
             if self.telemetry.enabled
             else None
         )
         state, records = wal_module.replay(self.wal_path, self.telemetry)
-        if state.num_objects:
-            self.records = {
-                oid: LiveObject(oid) for oid in range(state.num_objects)
-            }
-        if state.placement:
-            self.placement = dict(state.placement)
-        for transfer_id, entry in state.transfers.items():
-            self.transfers[transfer_id] = Transfer(
-                transfer_id=entry.transfer_id,
-                object_id=entry.object_id,
-                src=entry.src,
-                dst=entry.dst,
-                block_id=entry.block_id,
-                state=entry.state,
-            )
-            # Settlement trusts only the state the log proves: a
-            # transfer that advances *after* replay (a live PLACE
-            # served by this incarnation) is no longer in doubt.
-            self._wal_states[transfer_id] = entry.state
-        # In central mode the supervisor mints small ids; in home mode
-        # the homes mint banded ids and this counter is never consulted
-        # (the supervisor answers MOVE_REQUEST with not_home).
-        self._transfer_ids = itertools.count(state.max_transfer_id + 1)
+        self.placement.update(state.placement)
+        # Settlement trusts only the state the log proves: a transfer
+        # that advances *after* replay (a live PLACE served by this
+        # incarnation) is no longer in doubt.
+        self._wal_states = {
+            tid: entry.state for tid, entry in state.transfers.items()
+        }
         self._recovered_max_transfer = state.max_transfer_id
-        # Revive open move-blocks with their *recorded* ids (the fence
-        # is the id) and re-mark broken ones; the id counter advances
-        # past everything imported.
-        self.locks.import_lease_state(
-            {
-                "blocks": [
-                    {
-                        "block_id": block_id,
-                        "client_node": desc["client_node"],
-                        "object_ids": [desc["object_id"]],
-                    }
-                    for block_id, desc in state.blocks.items()
-                ],
-                "broken": state.broken_blocks,
-            },
-            self.records,
-        )
-        for block in self.locks.held_blocks():
-            self.blocks[block.block_id] = block
         for node_id, incarnation in state.incarnations.items():
             if node_id in self.incarnations:
                 self.incarnations[node_id] = incarnation
-        if state.home:
-            self.home = dict(state.home)
-        if state.num_slices:
-            self.num_slices = state.num_slices
+        self.home.update(state.home)
+        self.num_slices = state.num_slices or self.num_slices
         self.supervisor_starts = state.supervisor_starts
         self._mirrored = set(state.mirrored)
         if span is not None:
@@ -413,6 +365,7 @@ class NodeSupervisor:
                 in_doubt=len(state.in_doubt()),
                 mode=state.arbitration,
             )
+        return state
 
     def _log(self, kind: str, data: Optional[Dict[str, Any]] = None) -> int:
         """Durably journal one transition (auto-opens in unit tests)."""
@@ -438,6 +391,18 @@ class NodeSupervisor:
             for node in [SUPERVISOR] + self.worker_ids
         }
 
+    def _slice_placement(self, node: int) -> Dict[int, int]:
+        """Placements of the objects in the slices homed at ``node``."""
+        return {
+            oid: where
+            for oid, where in self.placement.items()
+            if self.home.get(oid % self.num_slices) == node
+        }
+
+    def _worker_homes(self) -> List[int]:
+        """Workers home to some slice (none under central arbitration)."""
+        return sorted({h for h in self.home.values() if h != SUPERVISOR})
+
     def _seed_states(self, node_id: int) -> List[Dict[str, Any]]:
         return [
             LiveObject(oid).state()
@@ -460,8 +425,7 @@ class NodeSupervisor:
                 self.config.request_timeout,
                 self.config.rng_seed * 1000 + node_id,
                 self.incarnations[node_id],
-                self.config.arbitration,
-                self.num_slices if self.config.arbitration == "home" else 0,
+                self.num_slices,
                 self.config.lease_duration,
                 self.config.orphan_grace,
                 self.config.telemetry_dir,
@@ -512,6 +476,27 @@ class NodeSupervisor:
         for node_id in self.worker_ids:
             self._kill_worker(node_id)
 
+    async def _ask(
+        self,
+        node_id: int,
+        kind: str,
+        payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """Request of a worker: its reply payload, or None if it timed
+        out or the connection was lost (a worker mid-crash, whose
+        restart re-sends whatever it missed)."""
+        try:
+            reply = await self.transport.request(
+                node_id,
+                kind,
+                payload,
+                timeout=timeout or self.config.request_timeout,
+            )
+        except (TimeoutError, ConnectionLostError):
+            return None
+        return reply.payload
+
     # -- inbound control plane ------------------------------------------------
 
     async def handle(self, envelope: Envelope) -> None:
@@ -535,19 +520,9 @@ class NodeSupervisor:
                         sample,
                         local_recv,
                     )
-        elif kind == MOVE_REQUEST:
-            await self._serve_move_request(envelope)
-        elif kind == PLACE:
-            await self._serve_place(envelope)
-        elif kind == ROLLBACK:
-            await self._serve_rollback(envelope)
-        elif kind == END_REQUEST:
-            block = self.blocks.pop(envelope.payload["block_id"], None)
-            released = 0
-            if block is not None:
-                self._log(wal_module.END, {"block_id": block.block_id})
-                released = self.locks.release_block(block)
-            await self.transport.reply(envelope, {"released": released})
+        elif kind in KINDS:
+            await self.arbiter.serve(envelope)
+            self._wake_at_target()
         elif kind == PLACE_NOTICE:
             # A peer home committed a transfer: mirror the ownership
             # move into the WAL so slice reassignment survives us.
@@ -557,175 +532,18 @@ class NodeSupervisor:
                 self._mirrored.add(notice["transfer_id"])
                 self._log(wal_module.PLACE_MIRROR, dict(notice))
                 self.placement[notice["object_id"]] = notice["node"]
-                self._count_commit()
+                self._mirrors += 1
+                self._wake_at_target()
             await self.transport.reply(envelope, {"ok": True})
-        elif kind == LOCATE:
-            oid = envelope.payload["object_id"]
-            await self.transport.reply(
-                envelope, {"location": self.placement.get(oid)}
-            )
 
-    async def _serve_move_request(self, envelope: Envelope) -> None:
-        """§3.2 at the arbiter: grant the lock or answer "locked".
+    @property
+    def commits(self) -> int:
+        """Placements this incarnation committed or mirrored."""
+        return self.arbiter.commits + self._mirrors
 
-        The arbitration decision itself is :meth:`_move_decision`; this
-        wrapper joins the mover's migration trace (the MOVE_REQUEST
-        envelope carries the mover's ``live.move`` span context) so one
-        migration renders as a single cross-process span tree.
-        """
-        span = (
-            self.telemetry.start_span(
-                "live.grant",
-                node=SUPERVISOR,
-                remote=envelope.trace,
-                detached=True,
-                object=envelope.payload["object_id"],
-            )
-            if self.telemetry.enabled
-            else None
-        )
-        reply = self._move_decision(envelope)
-        if span is not None:
-            self.telemetry.end_span(span, granted=reply["granted"])
-        await self.transport.reply(envelope, reply)
-
-    def _move_decision(self, envelope: Envelope) -> Dict[str, Any]:
-        mover = envelope.src
-        object_id = envelope.payload["object_id"]
-        if self.config.arbitration == "home":
-            # Demoted supervisor: movers should ask the home node; a
-            # request landing here means their map is still warming up.
-            self.conflicts += 1
-            return {
-                "granted": False,
-                "location": self.placement.get(object_id),
-                "not_home": True,
-            }
-        record = self.records[object_id]
-        if self._grants_frozen or self.locks.is_locked(record):
-            self.conflicts += 1
-            return {"granted": False, "location": self.placement[object_id]}
-        block = MoveBlock(client_node=mover, target=record)
-        try:
-            self.locks.lock(record, block)
-        except Exception:
-            # e.g. a broken (crash-suspected) mover retrying: deny.
-            self.conflicts += 1
-            return {"granted": False, "location": self.placement[object_id]}
-        self.grants += 1
-        self.blocks[block.block_id] = block
-        source = self.placement[object_id]
-        transfer_id = None
-        if source != mover:
-            transfer_id = next(self._transfer_ids)
-            self.transfers[transfer_id] = Transfer(
-                transfer_id,
-                object_id,
-                source,
-                mover,
-                block.block_id,
-                trace=envelope.trace,
-            )
-        # Log, *then* send: if we die between the two, recovery revives
-        # the grant and the mover's timeout aborts it cleanly.
-        self._log(
-            wal_module.GRANT,
-            {
-                "block_id": block.block_id,
-                "object_id": object_id,
-                "mover": mover,
-                "source": source,
-                "transfer_id": transfer_id,
-            },
-        )
-        return {
-            "granted": True,
-            "source": source,
-            # The source refuses the pull if it has been respawned since.
-            "incarnation": self.incarnations[source],
-            "block_id": block.block_id,
-            "transfer_id": transfer_id,
-        }
-
-    async def _serve_place(self, envelope: Envelope) -> None:
-        """The linearization point: commit or fence out a transfer.
-
-        Idempotent by transfer id: the destination asking again for a
-        transfer already placed for it (its first ok reply was lost) is
-        told ``ok`` again, with no second WAL record or notice.
-        """
-        transfer = self.transfers.get(envelope.payload["transfer_id"])
-        already_placed = (
-            transfer is not None
-            and transfer.state == "placed"
-            and transfer.dst == envelope.src
-            and self.placement.get(transfer.object_id) == transfer.dst
-        )
-        ok = already_placed or (
-            transfer is not None
-            and transfer.state == "pending"
-            and transfer.dst == envelope.src
-            and transfer.block_id in self.blocks
-            and not self.locks.was_broken(self.blocks[transfer.block_id])
-        )
-        span = (
-            self.telemetry.start_span(
-                "live.place",
-                node=SUPERVISOR,
-                remote=envelope.trace,
-                detached=True,
-                transfer=envelope.payload["transfer_id"],
-            )
-            if self.telemetry.enabled
-            else None
-        )
-        if ok and not already_placed:
-            # The WAL append *is* the commit: recovery treats a logged
-            # PLACE as "the destination may hold the object" and
-            # settles it against the destination's inventory.
-            self._log(
-                wal_module.PLACE, {"transfer_id": transfer.transfer_id}
-            )
-            transfer.state = "placed"
-            self.placement[transfer.object_id] = transfer.dst
-            self.outbox.tell_source(transfer, EVICT, transfer.trace)
-            self._count_commit()
-        if span is not None:
-            self.telemetry.end_span(span, ok=ok)
-        await self.transport.reply(envelope, {"ok": ok})
-
-    def _count_commit(self) -> None:
-        """Count one committed placement; wake the stop check at target."""
-        self.commits += 1
+    def _wake_at_target(self) -> None:
         if self.commits >= self.config.target_migrations:
             self._commit_wake.set()
-
-    async def _serve_rollback(self, envelope: Envelope) -> None:
-        """Abort a transfer: the source's held-back copy is restored."""
-        transfer = self.transfers.get(envelope.payload["transfer_id"])
-        ok = transfer is not None and transfer.state == "pending"
-        span = (
-            self.telemetry.start_span(
-                "live.rollback",
-                node=SUPERVISOR,
-                remote=envelope.trace,
-                detached=True,
-                transfer=envelope.payload["transfer_id"],
-            )
-            if self.telemetry.enabled
-            else None
-        )
-        if ok:
-            self._roll_back(transfer)
-        if span is not None:
-            self.telemetry.end_span(span, ok=ok)
-        await self.transport.reply(envelope, {"ok": ok})
-
-    def _roll_back(self, transfer: Transfer) -> None:
-        """Journal a rollback; the source restores its held-back copy."""
-        self._log(wal_module.ROLLBACK, {"transfer_id": transfer.transfer_id})
-        transfer.state = "rolled_back"
-        self.outbox.tell_source(transfer, RESTORE, transfer.trace)
 
     # -- failure detection & restart ------------------------------------------
 
@@ -776,53 +594,52 @@ class NodeSupervisor:
             await asyncio.sleep(tick)
 
     async def _restart(self, node_id: int) -> None:
-        """Crash recovery: break leases, settle transfers, respawn.
+        """Crash recovery: break leases, reassign slices, respawn.
 
+        Every arbiter home to something breaks the dead node's leases
+        and settles its own transfers that involved it: the
+        supervisor's own locally, each worker home by ``BREAK_HOMED``.
         Never leaves the node stuck in the restarting set: if the
         respawn itself fails (no heartbeat in time), the monitor sees
         the dead process and tries again.
         """
         try:
-            if self.config.arbitration == "home":
-                await self._restart_home(node_id)
-            else:
-                await self._restart_inner(node_id)
+            self.crashes_seen += 1
+            self.down.add(node_id)
+            self._attach_flight(node_id, self.incarnations[node_id], "restart")
+            live = [
+                w
+                for w in self.worker_ids
+                if w != node_id and w not in self.down
+            ]
+            # PR 4 -> PR 2 seam: the dead mover's blocks are barred
+            # forever; a zombie's late PLACE is fenced out.
+            decision, verdicts = self.arbiter.break_node(node_id)
+            self.arbiter.post(verdicts)
+            self.leases_broken_total += decision["broken"]
+            for peer in [w for w in self._worker_homes() if w in live]:
+                # A peer mid-crash misses it: its own restart re-settles.
+                reply = await self._ask(peer, BREAK_HOMED, {"node": node_id})
+                if reply is not None:
+                    self.leases_broken_total += reply["broken"]
+            # A dead home's slices go to a survivor, reconciled from
+            # WAL-mirrored ownership and the live inventories.
+            dead_slices = sorted(
+                s for s, h in self.home.items() if h == node_id
+            )
+            if dead_slices and live:
+                await self._reassign_slices(node_id, dead_slices, live)
+            # Sync the placement mirror from the surviving homes so the
+            # respawn re-seeds exactly what the fleet says is the dead
+            # node's and nothing else.
+            await self._sync_placement_mirror(
+                [w for w in self._worker_homes() if w in live]
+            )
+            await self._respawn(node_id)
         except (TimeoutError, ConnectionLostError):
             pass
         finally:
             self._restarting.discard(node_id)
-
-    async def _restart_inner(self, node_id: int) -> None:
-        self.crashes_seen += 1
-        self.health.down.add(node_id)
-        self._attach_flight(node_id, self.incarnations[node_id], "restart")
-        # PR 4 -> PR 2 seam: reclaim every lock the dead mover held.
-        # Its blocks are barred forever; a zombie's late PLACE is
-        # rejected by the fence in _serve_place.
-        before_broken = set(self.locks._broken)
-        self.leases_broken_total += self.locks.break_crashed(self.health)
-        newly_broken = sorted(self.locks._broken - before_broken)
-        if newly_broken:
-            self._log(
-                wal_module.BREAK,
-                {"node": node_id, "block_ids": newly_broken},
-            )
-        for transfer in self.transfers.values():
-            if transfer.state != "pending":
-                continue
-            if transfer.dst == node_id:
-                # Destination died mid-pull: restore the source's copy.
-                self._roll_back(transfer)
-            elif transfer.src == node_id:
-                # Source died holding the held-back copy: the state is
-                # lost; fence the destination out and re-seed on
-                # restart.  Placement never moved, so no duplicate.
-                self._log(
-                    wal_module.FAILED,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "failed"
-        await self._respawn(node_id)
 
     async def _respawn(self, node_id: int) -> None:
         """Kill remnants, bump the incarnation, spawn, restart workload."""
@@ -836,7 +653,7 @@ class NodeSupervisor:
                 None, process.join, 5.0
             )
         self.history.forget(node_id)
-        self.health.down.discard(node_id)
+        self.down.discard(node_id)
         self.incarnations[node_id] += 1
         self._log(
             wal_module.INCARNATION,
@@ -847,61 +664,24 @@ class NodeSupervisor:
         self._spawn(node_id)
         await self._wait_for_heartbeat(node_id)
         if self.faults_active:
-            await self._send_faults(node_id, self.faults_active)
-        if self.config.arbitration == "home":
-            # Every home learns the new incarnation: from now on its
-            # grants name it, and pulls granted before are refused.
-            await self._broadcast_home_map(
-                [
-                    w
-                    for w in self.worker_ids
-                    if w == node_id or w not in self._restarting
-                ]
+            await self._ask(
+                node_id, SET_FAULTS, {"config": self.faults_active}
             )
+        # Every home learns the new incarnation: from now on its
+        # grants name it, and pulls granted before are refused.
+        await self._broadcast_home_map(
+            [
+                w
+                for w in self.worker_ids
+                if w == node_id or w not in self._restarting
+            ]
+        )
         if not self._in_drain:
             # A node respawned mid-drain must come up parked: starting
             # its workload would race the other nodes' quiesced
             # inventories.  It drains trivially (no START, no mover).
             await self._start_workload(node_id)
         self.restarts += 1
-
-    async def _restart_home(self, node_id: int) -> None:
-        """Home-mode worker death: break at peers, reassign, respawn."""
-        self.crashes_seen += 1
-        self.health.down.add(node_id)
-        self._attach_flight(node_id, self.incarnations[node_id], "restart")
-        live = [
-            w
-            for w in self.worker_ids
-            if w != node_id and w not in self.health.down
-        ]
-        # 1. Every surviving home breaks the dead mover's leases and
-        #    settles its own transfers that involved the dead node.
-        broken = 0
-        for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer,
-                    BREAK_HOMED,
-                    {"node": node_id},
-                    timeout=self.config.request_timeout,
-                )
-                broken += reply.payload.get("broken", 0)
-            except (TimeoutError, ConnectionLostError):
-                pass  # peer mid-crash: its own restart will re-settle
-        self.leases_broken_total += broken
-        # 2. If the dead node was home for slices, reassign them from
-        #    WAL-mirrored ownership reconciled against live inventories.
-        dead_slices = sorted(
-            s for s, h in self.home.items() if h == node_id
-        )
-        if dead_slices and live:
-            await self._reassign_slices(node_id, dead_slices, live)
-        # 3. Sync the placement mirror from the surviving homes so the
-        #    respawn re-seeds exactly what the fleet says is the dead
-        #    node's (placement-wise) and nothing else.
-        await self._sync_placement_mirror(live)
-        await self._respawn(node_id)
 
     async def _reassign_slices(
         self, dead: int, dead_slices: List[int], live: List[int]
@@ -928,7 +708,7 @@ class NodeSupervisor:
                     continue  # homed at a live peer: it settles its own
                 committed = oid in hosted
                 hosted.setdefault(oid, peer)
-                self._home_verdicts[tid] = (
+                self.verdicts[tid] = (
                     "placed" if committed else "rolled_back"
                 )
                 self.outbox.post(
@@ -975,79 +755,52 @@ class NodeSupervisor:
         self.home_reassignments += 1
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("home.reassignments").inc()
-        try:
-            await self.transport.request(
-                new_home,
-                HOME_ASSIGN,
-                {"slices": dead_slices, "placement": slice_placement},
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass  # new home mid-crash: its restart path reassigns again
+        # A new home mid-crash misses it: its restart reassigns again.
+        await self._ask(
+            new_home,
+            HOME_ASSIGN,
+            {"slices": dead_slices, "placement": slice_placement},
+        )
         await self._broadcast_home_map(live)
 
     async def _sync_placement_mirror(self, live: List[int]) -> None:
         """Refresh the mirror from the surviving homes' authority."""
         for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer, HOME_STATE, timeout=self.config.request_timeout
-                )
-            except (TimeoutError, ConnectionLostError):
-                continue
-            for oid, where in reply.payload["placement"].items():
-                self.placement[int(oid)] = where
+            reply = await self._ask(peer, HOME_STATE)
+            if reply is not None:
+                for oid, where in reply["placement"].items():
+                    self.placement[int(oid)] = where
 
-    def _home_map_payload(self) -> Dict[str, Any]:
-        return {
+    async def _broadcast_home_map(
+        self, targets: Optional[List[int]] = None
+    ) -> None:
+        """Send the home map, if any worker is a home, to ``targets``."""
+        if not self._worker_homes():
+            return
+        payload = {
             "map": dict(self.home),
             "num_slices": self.num_slices,
             # Homes stamp the source's incarnation onto every grant.
             "incarnations": dict(self.incarnations),
         }
-
-    async def _send_home_map(self, node_id: int) -> None:
-        try:
-            await self.transport.request(
-                node_id,
-                HOME_MAP,
-                self._home_map_payload(),
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass
-
-    async def _broadcast_home_map(
-        self, targets: Optional[List[int]] = None
-    ) -> None:
         await asyncio.gather(
             *(
-                self._send_home_map(w)
+                self._ask(w, HOME_MAP, payload)
                 for w in (targets or self.worker_ids)
             )
         )
 
     async def _assign_homes(self) -> None:
-        """Initial partition: slice ``i`` is homed at worker ``i+1``."""
-        for slice_id in range(self.num_slices):
-            node = self.worker_ids[slice_id % len(self.worker_ids)]
-            self.home[slice_id] = node
-        for node in self.worker_ids:
-            slices = sorted(
-                s for s, h in self.home.items() if h == node
-            )
-            placement = {
-                oid: where
-                for oid, where in self.placement.items()
-                if oid % self.num_slices in set(slices)
-            }
+        """Hand every worker home its slices and their placements."""
+        for node in self._worker_homes():
+            slices = sorted(s for s, h in self.home.items() if h == node)
             self._log(
                 wal_module.HOME_ASSIGN, {"slices": slices, "node": node}
             )
             await self.transport.request(
                 node,
                 HOME_ASSIGN,
-                {"slices": slices, "placement": placement},
+                {"slices": slices, "placement": self._slice_placement(node)},
                 timeout=self.config.request_timeout,
             )
         await self._broadcast_home_map()
@@ -1113,52 +866,37 @@ class NodeSupervisor:
                     }
                 )
 
-    async def _send_faults(self, node_id: int, config: Dict) -> None:
-        try:
-            await self.transport.request(
-                node_id,
-                SET_FAULTS,
-                {"config": config},
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass  # a worker mid-crash misses the memo; restart re-sends
-
     async def _broadcast_faults(self, config: Dict) -> None:
         self.faults_active = {**self.faults_active, **config}
         await asyncio.gather(
-            *(self._send_faults(w, config) for w in self.worker_ids)
+            *(
+                self._ask(w, SET_FAULTS, {"config": config})
+                for w in self.worker_ids
+            )
         )
 
     # -- run ------------------------------------------------------------------
 
     async def _start_workload(self, node_id: int) -> None:
-        try:
-            await self.transport.request(
-                node_id,
-                START,
-                {
-                    "num_objects": self.config.num_objects,
-                    "think_time": self.config.think_time,
-                    "invocations_per_block": self.config.invocations_per_block,
-                },
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass  # monitor will flag the silent worker
+        # A silent worker is left to the monitor.
+        await self._ask(
+            node_id,
+            START,
+            {
+                "num_objects": self.config.num_objects,
+                "think_time": self.config.think_time,
+                "invocations_per_block": self.config.invocations_per_block,
+            },
+        )
 
     async def _poll_migrations(self) -> int:
         total = 0
         for node_id in self.worker_ids:
             if node_id in self._restarting:
                 continue
-            try:
-                reply = await self.transport.request(
-                    node_id, STATS, timeout=self.config.request_timeout
-                )
-                total += reply.payload["migrations"]
-            except (TimeoutError, ConnectionLostError):
-                pass
+            stats = await self._ask(node_id, STATS)
+            if stats is not None:
+                total += stats["migrations"]
         return total
 
     # -- cross-process telemetry ----------------------------------------------
@@ -1312,14 +1050,7 @@ class NodeSupervisor:
             self.history.ensure(node_id, now)
         # Chaos state died with the predecessor: heal the data plane
         # so the recovered run is observable (dead workers ignored).
-        await self._broadcast_faults(
-            {
-                "drop_rate": 0.0,
-                "duplicate_rate": 0.0,
-                "delay_range": (0.0, 0.0),
-                "partitions": [],
-            }
-        )
+        await self._broadcast_faults(_HEALED)
         waits = await asyncio.gather(
             *(
                 self._wait_for_heartbeat(
@@ -1358,23 +1089,16 @@ class NodeSupervisor:
             )
         await self._settle_in_doubt(inventories)
         self._cross_check_settlement()
-        self._grants_frozen = False
-        if self.config.arbitration == "home":
-            await self._broadcast_home_map(
-                [w for w in live if w not in dead]
-            )
+        self.arbiter.frozen = False
+        await self._broadcast_home_map([w for w in live if w not in dead])
         # Workloads survive with the workers; (re)start only the idle
         # (a supervisor killed before START leaves movers parked).
         for peer in [w for w in live if w not in dead]:
-            try:
-                reply = await self.transport.request(
-                    peer, STATS, timeout=self.config.request_timeout
-                )
-                if reply.payload["attempts"] == 0:
-                    await self._start_workload(peer)
-            except (TimeoutError, ConnectionLostError):
-                if peer not in dead:
-                    dead.append(peer)
+            stats = await self._ask(peer, STATS)
+            if stats is None:
+                dead.append(peer)
+            elif stats["attempts"] == 0:
+                await self._start_workload(peer)
         for node_id in dead:
             if node_id not in self._restarting:
                 self._restarting.add(node_id)
@@ -1389,7 +1113,7 @@ class NodeSupervisor:
 
     def _plan_settlement(
         self, inventories: Dict[int, Dict[str, Any]]
-    ) -> List[Tuple[str, Transfer]]:
+    ) -> List[Tuple[str, TransferLogEntry]]:
         """Decide commit/revert/rollback for the in-doubt tail (pure).
 
         Only transfers minted by the *previous* incarnation are in
@@ -1412,14 +1136,15 @@ class NodeSupervisor:
           absent means the destination aborted, revert placement to
           the source and restore its copy.
         """
+        transfers = self.arbiter.transfers
         latest: Dict[int, int] = {}
-        for transfer in self.transfers.values():
+        for transfer in transfers.values():
             if transfer.state == "placed":
                 latest[transfer.object_id] = max(
                     transfer.transfer_id, latest.get(transfer.object_id, 0)
                 )
-        plan: List[Tuple[str, Transfer]] = []
-        for transfer in self.transfers.values():
+        plan: List[Tuple[str, TransferLogEntry]] = []
+        for transfer in transfers.values():
             if transfer.transfer_id > self._recovered_max_transfer:
                 continue
             wal_state = self._wal_states.get(transfer.transfer_id)
@@ -1457,81 +1182,68 @@ class NodeSupervisor:
         """
         plan = self._plan_settlement(inventories)
         self._last_settlement_plan = plan
-        for verdict, transfer in plan:
-            if verdict == "rollback":
-                self._roll_back(transfer)
-                self._release_transfer_block(transfer)
+        arbiter = self.arbiter
+        for decision, transfer in plan:
+            if decision == "rollback":
+                arbiter.post(arbiter.rollback(transfer.transfer_id)[1])
+                arbiter.end(transfer.block_id)
                 self.in_doubt_rolled_back += 1
-            elif verdict == "revert":
+            elif decision == "revert":
                 self._log(
                     wal_module.REVERT,
                     {"transfer_id": transfer.transfer_id},
                 )
                 transfer.state = "rolled_back"
                 self.placement[transfer.object_id] = transfer.src
-                self.outbox.tell_source(transfer, RESTORE, transfer.trace)
-                self._release_transfer_block(transfer)
+                self.outbox.post(*verdict(transfer, RESTORE))
+                arbiter.end(transfer.block_id)
                 self.in_doubt_reverted += 1
             else:  # commit: make sure the source's copy is gone
-                self.outbox.tell_source(transfer, EVICT, transfer.trace)
+                self.outbox.post(*verdict(transfer, EVICT))
                 self.in_doubt_committed += 1
         planned = {transfer.transfer_id for _, transfer in plan}
         for payload in inventories.values():
             for tid in payload.get("in_transit_objects", {}):
-                transfer = self.transfers.get(tid)
+                transfer = arbiter.transfers.get(tid)
                 if transfer is None or tid in planned:
                     continue
                 if transfer.state == "placed":
-                    self.outbox.tell_source(transfer, EVICT, transfer.trace)
+                    self.outbox.post(*verdict(transfer, EVICT))
                 elif transfer.state != "pending":
-                    self.outbox.tell_source(transfer, RESTORE, transfer.trace)
-
-    def _release_transfer_block(self, transfer: Transfer) -> None:
-        block = self.blocks.pop(transfer.block_id, None)
-        if block is not None:
-            self._log(wal_module.END, {"block_id": block.block_id})
-            self.locks.release_block(block)
+                    self.outbox.post(*verdict(transfer, RESTORE))
 
     # -- drain & audit --------------------------------------------------------
 
-    async def _settle_transfers(self) -> None:
-        """Resolve every transfer so no held-back copy survives drain.
+    async def _settle_arbiters(self) -> Tuple[int, List[str]]:
+        """Settle every arbiter so no held-back copy survives drain.
 
-        Called only after all workloads are quiesced: rolls back every
-        still-pending transfer, then awaits the outbox.  A verdict
-        still unacknowledged after ``drain_timeout`` leaves its copy in
-        transit, and the audit reports it.
+        Called only after all workloads are quiesced: the supervisor's
+        own arbiter, then every worker home (``SETTLE``), rolls back
+        its pending transfers, releases leftover blocks, awaits its
+        outbox and reports its placements and verdicts.  Returns the
+        blocks released because their END never arrived and the
+        violations found.  A verdict still unacknowledged at the
+        deadline leaves its copy in transit, and the audit names it.
         """
-        for transfer in self.transfers.values():
-            if transfer.state == "pending":
-                self._roll_back(transfer)
-        await self.outbox.drained(self.config.drain_timeout)
-
-    async def _settle_homes(self) -> Tuple[int, List[str]]:
-        """Drain-time settlement under home arbitration.
-
-        Each home rolls back its pending transfers, awaits its outbox,
-        releases leftover blocks and reports its authoritative
-        placements and verdicts; the union of the placements becomes
-        the audit's expected placement.
-        """
-        leaked = 0
+        reports = [await self.arbiter.drain(self.config.drain_timeout)]
         violations: List[str] = []
-        for node_id in self.worker_ids:
-            try:
-                reply = await self.transport.request(
-                    node_id, SETTLE, timeout=self.config.drain_timeout
-                )
-            except (TimeoutError, ConnectionLostError):
+        for node_id in self._worker_homes():
+            report = await self._ask(
+                node_id, SETTLE, timeout=self.config.drain_timeout
+            )
+            if report is None:
                 violations.append(
                     f"home {node_id} failed to settle before drain"
                 )
-                continue
-            leaked += reply.payload["leaked_blocks"]
-            violations.extend(reply.payload.get("lock_violations", ()))
-            for oid, where in reply.payload["placement"].items():
+            else:
+                reports.append(report)
+        leaked = 0
+        for report in reports:
+            leaked += report["leaked_blocks"]
+            violations += report["lock_violations"]
+            for oid, where in report["placement"].items():
                 self.placement[int(oid)] = where
-            self._home_verdicts.update(reply.payload["verdicts"])
+            self.verdicts.update(report["verdicts"])
         return leaked, violations
 
     async def _drain(self) -> Dict[int, Dict[str, Any]]:
@@ -1588,17 +1300,12 @@ class NodeSupervisor:
         A node that times out or is unreachable is left out.
         """
 
-        async def snapshot(node_id: int):
-            try:
-                reply = await self.transport.request(
-                    node_id, INVENTORY, timeout=timeout
-                )
-                return node_id, reply.payload
-            except (TimeoutError, ConnectionLostError):
-                return node_id, None
-
-        results = await asyncio.gather(*(snapshot(w) for w in nodes))
-        return {node: inv for node, inv in results if inv is not None}
+        replies = await asyncio.gather(
+            *(self._ask(w, INVENTORY, timeout=timeout) for w in nodes)
+        )
+        return {
+            node: inv for node, inv in zip(nodes, replies) if inv is not None
+        }
 
     async def _settle_and_audit(self) -> Tuple[List[str], int]:
         """Settle every transfer, snapshot the fleet, audit the snapshot.
@@ -1607,21 +1314,14 @@ class NodeSupervisor:
         the number of blocks released because their END never arrived
         (lost to chaos).
         """
-        leaked_blocks = 0
-        violations: List[str] = []
-        if self.config.arbitration == "home":
-            leaked_blocks, violations = await self._settle_homes()
-        await self._settle_transfers()
-        for block in list(self.blocks.values()):
-            leaked_blocks += 1 if self.locks.release_block(block) else 0
-        self.blocks.clear()
+        leaked_blocks, violations = await self._settle_arbiters()
         violations += self._audit(
             await self._inventories(self.worker_ids, self.config.drain_timeout)
         )
         return violations, leaked_blocks
 
     def _audit(self, inventories: Dict[int, Dict[str, Any]]) -> List[str]:
-        """Placement + lock invariants; returns violation descriptions.
+        """Placement invariants; returns violation descriptions.
 
         Audits the snapshot exactly as taken: a copy still held in
         transit is a violation naming its transfer, holder and the
@@ -1648,16 +1348,11 @@ class NodeSupervisor:
                         f"says {self.placement.get(oid)}"
                     )
             for tid, oid in payload["in_transit_objects"].items():
-                transfer = self.transfers.get(tid)
-                verdict = (
-                    transfer.state
-                    if transfer is not None
-                    else self._home_verdicts.get(tid, "unknown")
-                )
                 violations.append(
                     f"transfer {tid}: node {node_id} (incarnation "
                     f"{payload['incarnation']}) still holds obj {oid} in "
-                    f"transit; arbiter verdict {verdict}"
+                    f"transit; arbiter verdict "
+                    f"{self.verdicts.get(tid, 'unknown')}"
                 )
         missing = set(range(self.config.num_objects)) - set(seen)
         for oid in sorted(missing):
@@ -1665,10 +1360,6 @@ class NodeSupervisor:
                 f"obj {oid} hosted nowhere (placement map says "
                 f"{self.placement.get(oid)})"
             )
-        try:
-            self.locks.check_invariant()
-        except AssertionError as exc:
-            violations.append(f"lock invariant: {exc}")
         return violations
 
     async def run(self) -> Dict[str, Any]:
@@ -1690,11 +1381,7 @@ class NodeSupervisor:
                     "num_objects": self.config.num_objects,
                     "workers": self.worker_ids,
                     "arbitration": self.config.arbitration,
-                    "num_slices": (
-                        self.num_slices
-                        if self.config.arbitration == "home"
-                        else 0
-                    ),
+                    "num_slices": self.num_slices,
                     "placement": {
                         str(oid): node
                         for oid, node in self.placement.items()
@@ -1711,8 +1398,7 @@ class NodeSupervisor:
             await asyncio.gather(
                 *(self._wait_for_heartbeat(w) for w in self.worker_ids)
             )
-            if self.config.arbitration == "home":
-                await self._assign_homes()
+            await self._assign_homes()
         monitor = asyncio.ensure_future(self._monitor_loop())
         started_at = self.clock.now()
         if not self.recover:
@@ -1748,14 +1434,7 @@ class NodeSupervisor:
         finally:
             chaos.cancel()
         # Quiesce: stop chaos, heal the data plane, settle, drain.
-        await self._broadcast_faults(
-            {
-                "drop_rate": 0.0,
-                "duplicate_rate": 0.0,
-                "delay_range": (0.0, 0.0),
-                "partitions": [],
-            }
-        )
+        await self._broadcast_faults(_HEALED)
         drained = await self._drain()
         self._stopping = True
         monitor.cancel()
@@ -1852,11 +1531,8 @@ class NodeSupervisor:
             )
             for latency in latencies:
                 histogram.observe(latency)
-            if self.config.arbitration == "home":
-                metrics.counter("home.grants").inc(totals["home_grants"])
-                metrics.counter("home.denials").inc(
-                    totals["home_denials"]
-                )
+            metrics.counter("home.grants").inc(totals["home_grants"])
+            metrics.counter("home.denials").inc(totals["home_denials"])
         attempts = max(1, totals["attempts"])
         report = {
             "workers": len(self.worker_ids),
@@ -1915,5 +1591,4 @@ __all__ = [
     "LATENCY_BUCKETS",
     "NodeSupervisor",
     "SupervisorConfig",
-    "Transfer",
 ]

@@ -220,14 +220,18 @@ class ArbitrationWal:
 
 @dataclass
 class TransferLogEntry:
-    """A transfer as the log knows it (mirrors supervisor.Transfer)."""
+    """One transfer, fenced by id, as the log and its arbiter know it."""
 
     transfer_id: int
     object_id: int
     src: int
     dst: int
     block_id: int
-    state: str = "pending"
+    state: str = "pending"  # pending | placed | rolled_back | failed
+    #: Telemetry context of the mover's migration-root span, so the
+    #: transfer's verdicts join the same cross-process trace (not
+    #: journaled: a replayed transfer has none).
+    trace: Optional[Tuple[int, int]] = None
 
 
 @dataclass

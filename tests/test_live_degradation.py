@@ -12,8 +12,6 @@ Two families of guarantees:
    late ``PLACE`` is fenced out, and fresh movers proceed.
 """
 
-import asyncio
-
 import pytest
 
 from repro.core.locking import LockManager
@@ -21,13 +19,11 @@ from repro.core.moveblock import MoveBlock
 from repro.errors import PolicyError
 from repro.runtime.clock import WallClock
 from repro.runtime.failure import HeartbeatHistory
+from repro.runtime.live import wal as wal_module
+from repro.runtime.live.arbiter import Down
 from repro.runtime.live.node import LiveObject
-from repro.runtime.live.supervisor import (
-    NodeSupervisor,
-    SupervisorConfig,
-    Transfer,
-)
-from repro.runtime.live.wire import Envelope
+from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
+from repro.runtime.live.wire import RESTORE
 
 
 class TestPhiUnderDelaySpikes:
@@ -107,59 +103,40 @@ class TestFalseSuspicionSparesHealthyMigration:
         locks.check_invariant()
 
 
-class RecordingTransport:
-    """Stub transport capturing replies/notices; no sockets involved."""
-
-    def __init__(self):
-        self.replies = []
-        self.requests = []
-
-    async def reply(self, envelope, payload=None):
-        self.replies.append((envelope, payload))
-
-    async def request(self, dst, kind, payload=None, timeout=None):
-        self.requests.append((dst, kind, payload))
-        return Envelope("reply", dst, -1, (dst, 1), {"ok": True})
-
-
 class TestRestartLeaseRecovery:
-    """Supervisor crash recovery against the real LockManager."""
+    """Supervisor crash recovery against the real LockManager, driven
+    through the arbiter's decisions (no sockets)."""
 
     def make_supervisor(self):
-        config = SupervisorConfig(num_nodes=3, num_objects=8)
-        supervisor = NodeSupervisor(config)
-        supervisor.transport = RecordingTransport()
-        return supervisor
+        config = SupervisorConfig(num_nodes=3, num_objects=8, wal_fsync=False)
+        return NodeSupervisor(config)
 
     def grant(self, supervisor, mover, object_id):
-        """Drive _serve_move_request and return the granted payload."""
-        envelope = Envelope(
-            "move.request", mover, -1, (mover, 1), {"object_id": object_id}
-        )
-        asyncio.run(supervisor._serve_move_request(envelope))
-        _, payload = supervisor.transport.replies[-1]
-        return payload
+        """Ask the supervisor's arbiter; return the grant reply."""
+        reply, verdicts = supervisor.arbiter.grant(mover, object_id)
+        assert verdicts == []
+        return reply
 
     def test_break_crashed_recovers_lease_and_bars_block(self):
         supervisor = self.make_supervisor()
+        arbiter = supervisor.arbiter
         grant = self.grant(supervisor, mover=2, object_id=0)
         assert grant["granted"]
-        block = supervisor.blocks[grant["block_id"]]
-        record = supervisor.records[0]
-        assert supervisor.locks.is_locked(record)
+        block = arbiter.blocks[grant["block_id"]]
+        record = arbiter.records[0]
+        assert arbiter.locks.is_locked(record)
 
         # Node 2 crashes: the monitor's recovery path, minus sockets.
-        supervisor.health.down.add(2)
-        broken = supervisor.locks.break_crashed(supervisor.health)
-        assert broken == 1
-        assert not supervisor.locks.is_locked(record)
-        assert supervisor.locks.was_broken(block)
-        supervisor.locks.check_invariant()
+        reply, _ = arbiter.break_node(2)
+        assert reply["broken"] == 1
+        assert not arbiter.locks.is_locked(record)
+        assert arbiter.locks.was_broken(block)
+        arbiter.locks.check_invariant()
 
         # The same-tick renewal race from test_core_lock_races: the
         # dead mover's block can never re-acquire.
         with pytest.raises(PolicyError):
-            supervisor.locks.lock(record, block)
+            arbiter.locks.lock(record, block)
 
         # A fresh mover proceeds immediately — degradation, not outage.
         fresh = self.grant(supervisor, mover=3, object_id=0)
@@ -168,44 +145,60 @@ class TestRestartLeaseRecovery:
     def test_zombie_place_is_fenced_after_break(self):
         """A crash-suspected mover's late PLACE must not commit."""
         supervisor = self.make_supervisor()
+        arbiter = supervisor.arbiter
         grant = self.grant(supervisor, mover=2, object_id=0)
         transfer_id = grant["transfer_id"]
         assert transfer_id is not None
         source = grant["source"]
 
-        supervisor.health.down.add(2)
-        supervisor.locks.break_crashed(supervisor.health)
+        # Only the lease breaks; the transfer itself is left pending,
+        # so the block fence alone must stop the commit.
+        arbiter.locks.break_crashed(Down(2))
 
         # The zombie's PLACE arrives after the break.
-        envelope = Envelope(
-            "place", 2, -1, (2, 99), {"transfer_id": transfer_id}
-        )
-        asyncio.run(supervisor._serve_place(envelope))
-        _, payload = supervisor.transport.replies[-1]
+        payload, verdicts = arbiter.place(2, transfer_id)
         assert payload == {"ok": False}, "fence must reject the zombie"
+        assert verdicts == []
         assert supervisor.placement[0] == source, "placement unmoved"
 
     def test_crashed_destination_rolls_back_pending_transfer(self):
         supervisor = self.make_supervisor()
+        arbiter = supervisor.arbiter
         grant = self.grant(supervisor, mover=2, object_id=0)
-        transfer = supervisor.transfers[grant["transfer_id"]]
+        transfer = arbiter.transfers[grant["transfer_id"]]
         assert transfer.state == "pending"
 
-        # Mirror _restart_inner's transfer settlement for a dead dst.
-        supervisor.health.down.add(2)
-        supervisor.locks.break_crashed(supervisor.health)
-        for t in supervisor.transfers.values():
-            if t.state == "pending" and t.dst == 2:
-                t.state = "rolled_back"
+        _, verdicts = arbiter.break_node(2)
 
         assert transfer.state == "rolled_back"
         assert supervisor.placement[0] == transfer.src
-        supervisor.locks.check_invariant()
+        arbiter.locks.check_invariant()
+        # The source is told to restore its held-back copy.
+        assert verdicts == [
+            (
+                transfer.src,
+                RESTORE,
+                {"transfer_id": transfer.transfer_id, "object_id": 0},
+                None,
+            )
+        ]
+
+        # A dead *source* fails its transfer, and the journal says so.
+        grant = self.grant(supervisor, mover=3, object_id=0)
+        _, verdicts = arbiter.break_node(1)
+        assert verdicts == []
+        assert arbiter.transfers[grant["transfer_id"]].state == "failed"
+        _, records = wal_module.replay(supervisor.wal_path)
+        supervisor.wal.close()
+        assert (wal_module.FAILED, {"transfer_id": grant["transfer_id"]}) in [
+            (r.kind, r.data) for r in records
+        ]
 
 
 class TestTransferFence:
     def test_place_requires_pending_state_and_matching_dst(self):
         supervisor = TestRestartLeaseRecovery().make_supervisor()
+        arbiter = supervisor.arbiter
         # Object 2 is seeded at node 3 (round-robin), so mover 2's
         # grant creates a real transfer.
         grant = TestRestartLeaseRecovery().grant(
@@ -215,26 +208,14 @@ class TestTransferFence:
         assert transfer_id is not None
 
         # Wrong claimant: node 3 cannot commit node 2's transfer.
-        envelope = Envelope(
-            "place", 3, -1, (3, 1), {"transfer_id": transfer_id}
-        )
-        asyncio.run(supervisor._serve_place(envelope))
-        _, payload = supervisor.transport.replies[-1]
+        payload, _ = arbiter.place(3, transfer_id)
         assert payload == {"ok": False}
 
         # Rightful claimant commits exactly once.
-        envelope = Envelope(
-            "place", 2, -1, (2, 2), {"transfer_id": transfer_id}
-        )
-        asyncio.run(supervisor._serve_place(envelope))
-        _, payload = supervisor.transport.replies[-1]
+        payload, _ = arbiter.place(2, transfer_id)
         assert payload == {"ok": True}
         assert supervisor.placement[2] == 2
 
         # Replayed commit after a rollback attempt: both fenced.
-        envelope = Envelope(
-            "rollback", 2, -1, (2, 3), {"transfer_id": transfer_id}
-        )
-        asyncio.run(supervisor._serve_rollback(envelope))
-        _, payload = supervisor.transport.replies[-1]
+        payload, _ = arbiter.rollback(transfer_id)
         assert payload == {"ok": False}, "rollback after commit is void"

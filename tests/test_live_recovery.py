@@ -45,7 +45,6 @@ from repro.runtime.live.node import LiveNodeWorker
 from repro.runtime.live.wal import ArbitrationWal
 from repro.runtime.live.wire import (
     EVICT,
-    HOME_ASSIGN,
     MOVE_REQUEST,
     PLACE,
     PLACE_NOTICE,
@@ -133,21 +132,22 @@ class TestWalReplayRebuild:
         assert recovered.placement[1] == 3
         assert recovered.placement[2] == 1
         assert recovered.placement[0] == 1  # t1 never placed
-        assert set(recovered.transfers) == {1, 2, 3}
-        assert recovered.transfers[1].state == "pending"
-        assert recovered.transfers[2].state == "placed"
+        assert set(recovered.arbiter.transfers) == {1, 2, 3}
+        assert recovered.arbiter.transfers[1].state == "pending"
+        assert recovered.arbiter.transfers[2].state == "placed"
         assert recovered._recovered_max_transfer == 3
 
     def test_open_blocks_revived_with_recorded_ids(self, recovered):
-        assert set(recovered.blocks) == {1, 2, 3}
+        arbiter = recovered.arbiter
+        assert set(arbiter.blocks) == {1, 2, 3}
         for object_id in (0, 1, 2):
-            assert recovered.locks.is_locked(recovered.records[object_id])
-        recovered.locks.check_invariant()
+            assert arbiter.locks.is_locked(arbiter.records[object_id])
+        arbiter.locks.check_invariant()
 
     def test_recovering_supervisor_freezes_grants(self, recovered):
         from repro.runtime.live.wire import MOVE_REQUEST, SUPERVISOR, Envelope
 
-        assert recovered._grants_frozen is True
+        assert recovered.arbiter.frozen is True
         replies = []
 
         async def capture_reply(envelope, payload):
@@ -155,7 +155,7 @@ class TestWalReplayRebuild:
 
         recovered.transport.reply = capture_reply
         asyncio.run(
-            recovered._serve_move_request(
+            recovered.handle(
                 Envelope(
                     kind=MOVE_REQUEST,
                     src=2,
@@ -201,7 +201,7 @@ class TestSettlementPlan:
     ):
         # A live PLACE served during the recovery grace window advances
         # the transfer past its WAL-recorded state: no longer in doubt.
-        recovered.transfers[1].state = "placed"
+        recovered.arbiter.transfers[1].state = "placed"
         recovered.placement[0] = 2
         plan = dict(
             (t.transfer_id, verdict)
@@ -212,9 +212,9 @@ class TestSettlementPlan:
         assert 1 not in plan
 
     def test_transfers_minted_after_recovery_are_skipped(self, recovered):
-        from repro.runtime.live.supervisor import Transfer
+        from repro.runtime.live.wal import TransferLogEntry
 
-        recovered.transfers[4] = Transfer(
+        recovered.arbiter.transfers[4] = TransferLogEntry(
             transfer_id=4, object_id=5, src=3, dst=1, block_id=9
         )
         plan = dict(
@@ -311,13 +311,14 @@ class TestSettlementExecution:
             )
         )
         # Rollback: t1's source keeps its held-back copy.
-        assert recovered.transfers[1].state == "rolled_back"
+        transfers = recovered.arbiter.transfers
+        assert transfers[1].state == "rolled_back"
         assert (1, RESTORE, 1) in notices
         # Commit: t2's source is told (again, idempotently) to evict.
-        assert recovered.transfers[2].state == "placed"
+        assert transfers[2].state == "placed"
         assert (2, EVICT, 2) in notices
         # Revert: t3's placement returns to the source, copy restored.
-        assert recovered.transfers[3].state == "rolled_back"
+        assert transfers[3].state == "rolled_back"
         assert recovered.placement[2] == 3
         assert (3, RESTORE, 3) in notices
         assert recovered.in_doubt_rolled_back == 1
@@ -325,7 +326,8 @@ class TestSettlementExecution:
         assert recovered.in_doubt_reverted == 1
         # Settled transfers released their fences; the journal shows
         # the decisions so a *second* crash replays to the same place.
-        assert 1 not in recovered.blocks and 3 not in recovered.blocks
+        assert 1 not in recovered.arbiter.blocks
+        assert 3 not in recovered.arbiter.blocks
         state, _ = wal_module.replay(recovered.wal_path)
         assert state.transfers[1].state == "rolled_back"
         assert state.transfers[3].state == "rolled_back"
@@ -346,67 +348,41 @@ class TestPlaceIdempotence:
         target.transport.reply = capture_reply
         return replies
 
-    def test_central_place_retry_answers_ok_once(self, tmp_path):
-        config = SupervisorConfig(
-            num_nodes=3,
-            num_objects=6,
-            socket_dir=str(tmp_path),
-            wal_fsync=False,
+    @pytest.mark.parametrize(
+        "arbitration, arbiter", [("central", SUPERVISOR), ("home", 1)],
+        ids=["central", "home"],
+    )
+    def test_place_retry_answers_ok_once(self, tmp_path, arbitration, arbiter):
+        # Object 0 is homed at the supervisor (central) or at node 1.
+        supervisor, workers, net = fleet(
+            tmp_path, arbitration, lambda dst, kind: None
         )
-        supervisor = NodeSupervisor(config)
-        replies = self._capture(supervisor)
-        notices = []
-        supervisor.outbox.post = (
-            lambda node, kind, payload, trace=None: notices.append(kind)
-        )
+        home = net.endpoints[arbiter]
 
         async def scenario():
-            await supervisor.handle(
-                Envelope(MOVE_REQUEST, 2, SUPERVISOR, (2, 1), {"object_id": 0})
-            )
-            tid = replies[-1]["transfer_id"]
-            place = {"transfer_id": tid}
-            await supervisor.handle(Envelope(PLACE, 2, SUPERVISOR, (2, 2), place))
-            placement = dict(supervisor.placement)
-            del replies[-1]  # the ok reply is lost on the way back
-            await supervisor.handle(Envelope(PLACE, 2, SUPERVISOR, (2, 3), place))
-            return placement
+            await supervisor._assign_homes()
+            ask = workers[2].transport.request
+            grant = await ask(arbiter, MOVE_REQUEST, {"object_id": 0})
+            place = {"transfer_id": grant.payload["transfer_id"]}
+            await ask(arbiter, PLACE, place)
+            placement = dict(home.arbiter.placement)
+            # The ok reply is lost on the way back: PLACE again.
+            retry = await ask(arbiter, PLACE, place)
+            await home.outbox.drained(1.0)
+            return placement, retry.payload
 
-        placement = asyncio.run(scenario())
+        placement, reply = asyncio.run(scenario())
         supervisor.wal.close()
-        assert replies[-1] == {"ok": True}
-        assert supervisor.placement == placement and placement[0] == 2
+        assert reply == {"ok": True}
+        assert home.arbiter.placement == placement and placement[0] == 2
         assert supervisor.commits == 1
-        assert notices == [EVICT]
+        assert net.attempts.count((1, EVICT)) == 1
+        # One commit record: the PLACE, or the home's mirrored notice.
         _, records = wal_module.replay(supervisor.wal_path)
-        assert [r.kind for r in records].count(wal_module.PLACE) == 1
-
-    def test_home_place_retry_answers_ok_once(self):
-        home = LiveNodeWorker(3, ("unix", "unused"), {}, [])
-        replies = self._capture(home)
-        notices = []
-        home.outbox.post = (
-            lambda node, kind, payload, trace=None: notices.append(kind)
-        )
-
-        async def scenario():
-            await home.handle(
-                Envelope(HOME_ASSIGN, SUPERVISOR, 3, (SUPERVISOR, 1),
-                         {"slices": [0], "placement": {0: 1}})
-            )
-            home.num_slices = 3
-            await home.handle(Envelope(MOVE_REQUEST, 2, 3, (2, 1), {"object_id": 0}))
-            tid = replies[-1]["transfer_id"]
-            await home.handle(Envelope(PLACE, 2, 3, (2, 2), {"transfer_id": tid}))
-            placement = dict(home.home_placement)
-            del replies[-1]
-            await home.handle(Envelope(PLACE, 2, 3, (2, 3), {"transfer_id": tid}))
-            return placement
-
-        placement = asyncio.run(scenario())
-        assert replies[-1] == {"ok": True}
-        assert home.home_placement == placement == {0: 2}
-        assert notices.count(EVICT) == 1, notices
+        kinds = [r.kind for r in records]
+        assert kinds.count(wal_module.PLACE) + kinds.count(
+            wal_module.PLACE_MIRROR
+        ) == 1
 
     def test_place_notice_retry_mirrors_once(self, tmp_path):
         # A home retries its notice until acknowledged, also across an
@@ -504,6 +480,8 @@ def fleet(tmp_path, arbitration, lose, drain_timeout=10.0):
         wal_fsync=False,
         arbitration=arbitration,
         drain_timeout=drain_timeout,
+        # A home waits for its verdicts no longer than the drain does.
+        request_timeout=min(3.0, drain_timeout),
     )
     supervisor = NodeSupervisor(config)
     net = StubNet(lose)
@@ -512,7 +490,7 @@ def fleet(tmp_path, arbitration, lose, drain_timeout=10.0):
     for node in supervisor.worker_ids:
         workers[node] = LiveNodeWorker(
             node, ("unix", "unused"), {}, supervisor._seed_states(node),
-            arbitration=arbitration, num_slices=3,
+            num_slices=3, request_timeout=config.request_timeout,
         )
         net.attach(node, workers[node])
     return supervisor, workers, net
@@ -521,15 +499,19 @@ def fleet(tmp_path, arbitration, lose, drain_timeout=10.0):
 class TestAcknowledgedSettlement:
     """Every verdict is acknowledged or provably moot; the drain audit
     sees the fleet exactly as the settlement left it.  Objects 0..5
-    start at node ``1 + oid % 3``, which is also each object's home."""
+    start at node ``1 + oid % 3``, which is also each object's home
+    under home arbitration.  Both modes run the same scenario."""
 
-    def test_lost_first_evict_still_evicts(self, tmp_path):
-        supervisor, workers, net = fleet(tmp_path, "home", lose_first(EVICT))
+    @pytest.mark.parametrize("arbitration", ["central", "home"])
+    def test_lost_first_evict_still_evicts(self, tmp_path, arbitration):
+        supervisor, workers, net = fleet(
+            tmp_path, arbitration, lose_first(EVICT)
+        )
 
         async def scenario():
             await supervisor._assign_homes()
             await workers[2]._move_block(0, 1)
-            await supervisor._settle_homes()
+            await supervisor._settle_arbiters()
 
         asyncio.run(scenario())
         assert workers[2].stats.migrations == 1
@@ -538,20 +520,23 @@ class TestAcknowledgedSettlement:
         assert asyncio.run(supervisor._settle_and_audit()) == ([], 0)
         supervisor.wal.close()
 
-    def test_lost_home_band_restore_still_restores(self, tmp_path):
-        # The mover's PLACE is lost, so it rolls back at the home; the
-        # home's first RESTORE to the source is lost too.
+    @pytest.mark.parametrize("arbitration", ["central", "home"])
+    def test_lost_home_band_restore_still_restores(
+        self, tmp_path, arbitration
+    ):
+        # The mover's PLACE is lost, so it rolls back at the arbiter;
+        # the arbiter's first RESTORE to the source is lost too.
         lose_place = lose_first(PLACE)
         lose_restore = lose_first(RESTORE)
         supervisor, workers, net = fleet(
-            tmp_path, "home",
+            tmp_path, arbitration,
             lambda dst, kind: lose_place(dst, kind) or lose_restore(dst, kind),
         )
 
         async def scenario():
             await supervisor._assign_homes()
             await workers[3]._move_block(0, 1)
-            await supervisor._settle_homes()
+            await supervisor._settle_arbiters()
 
         asyncio.run(scenario())
         assert workers[3].stats.aborted == 1
@@ -560,9 +545,16 @@ class TestAcknowledgedSettlement:
         assert asyncio.run(supervisor._settle_and_audit()) == ([], 0)
         supervisor.wal.close()
 
-    def test_verdict_for_respawned_holder_is_dropped_at_once(self, tmp_path):
+    @pytest.mark.parametrize(
+        "arbitration, arbiter", [("central", SUPERVISOR), ("home", 3)],
+        ids=["central", "home"],
+    )
+    def test_verdict_for_respawned_holder_is_dropped_at_once(
+        self, tmp_path, arbitration, arbiter
+    ):
         # Node 1 dies holding the copy of a rolled-back transfer; its
-        # RESTORE can never land, and the respawn makes it moot.
+        # RESTORE can never land, and the respawn makes it moot.  Object
+        # 0 is homed away from its holder: at the supervisor or node 3.
         dead = set()
 
         def lose(dst, kind):
@@ -574,8 +566,9 @@ class TestAcknowledgedSettlement:
             return None
 
         supervisor, workers, net = fleet(
-            tmp_path, "central", lose, drain_timeout=3.0
+            tmp_path, arbitration, lose, drain_timeout=3.0
         )
+        supervisor.home[0] = arbiter
 
         async def no_op(*args, **kwargs):
             return None
@@ -586,11 +579,12 @@ class TestAcknowledgedSettlement:
         supervisor._start_workload = no_op
 
         async def scenario():
+            await supervisor._assign_homes()
             await workers[2]._move_block(0, 1)
             await asyncio.sleep(0.01)  # the RESTORE finds node 1 down
             await supervisor._respawn(1)
             started = time.monotonic()
-            await supervisor._settle_transfers()
+            await supervisor._settle_arbiters()
             return time.monotonic() - started
 
         elapsed = asyncio.run(scenario())
@@ -598,13 +592,19 @@ class TestAcknowledgedSettlement:
         assert workers[2].stats.aborted == 1
         assert (1, RESTORE) in net.attempts
         assert elapsed < 0.5, f"settlement spun {elapsed:.2f}s on a moot verdict"
-        assert supervisor.outbox.dropped == 1
+        assert net.endpoints[arbiter].outbox.dropped == 1
 
-    def test_copy_stranded_at_drain_is_a_named_violation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "arbitration, transfer_id", [("central", 1), ("home", 1_000_001)],
+        ids=["central", "home"],
+    )
+    def test_copy_stranded_at_drain_is_a_named_violation(
+        self, tmp_path, arbitration, transfer_id
+    ):
         # Node 1 never acknowledges the EVICT of a committed transfer:
         # the audit names the copy instead of repairing it.
         supervisor, workers, net = fleet(
-            tmp_path, "central",
+            tmp_path, arbitration,
             lambda dst, kind: (
                 TimeoutError("EVICT lost") if kind == EVICT else None
             ),
@@ -612,6 +612,7 @@ class TestAcknowledgedSettlement:
         )
 
         async def scenario():
+            await supervisor._assign_homes()
             await workers[2]._move_block(0, 1)
             return await supervisor._settle_and_audit()
 
@@ -619,8 +620,8 @@ class TestAcknowledgedSettlement:
         supervisor.wal.close()
         assert workers[2].stats.migrations == 1
         assert violations == [
-            "transfer 1: node 1 (incarnation 0) still holds obj 0 in "
-            "transit; arbiter verdict placed"
+            f"transfer {transfer_id}: node 1 (incarnation 0) still holds "
+            f"obj 0 in transit; arbiter verdict placed"
         ]
 
 

@@ -250,9 +250,13 @@ class TestIncarnationFence:
         assert successor.replies[-1]["state"]["object_id"] == 0
         assert set(successor.in_transit) == {4}
 
-    @pytest.mark.parametrize("arbitration", ["central", "home"])
+    @pytest.mark.parametrize(
+        "arbitration, map_targets",
+        [("central", []), ("home", [1, 2, 3])],
+        ids=["central", "home"],
+    )
     def test_grant_after_respawn_names_the_new_incarnation(
-        self, tmp_path, arbitration
+        self, tmp_path, arbitration, map_targets
     ):
         config = SupervisorConfig(
             num_nodes=3,
@@ -266,6 +270,7 @@ class TestIncarnationFence:
 
         async def request(node, kind, payload=None, timeout=5.0, trace=None):
             sent.append((node, kind, payload))
+            return Envelope("reply", node, SUPERVISOR, (node, 1), {"ok": True})
 
         async def nothing(*args, **kwargs):
             return None
@@ -278,30 +283,28 @@ class TestIncarnationFence:
         asyncio.run(sup._respawn(1))
         sup.wal.close()
         assert sup.incarnations[1] == 1
-        if arbitration == "central":
-            sup.transport.reply = nothing
-            grant = sup._move_decision(_envelope(MOVE_REQUEST, 2, 1, object_id=0))
-        else:
-            # Every worker hears the new incarnation with the home map,
-            # so a home's grant names it too.
-            maps = [p for node, kind, p in sent if kind == HOME_MAP]
-            assert sorted(n for n, k, _ in sent if k == HOME_MAP) == [1, 2, 3]
-            home = _worker(3)
+        # Every worker home hears the new incarnation with the home
+        # map, so its grants name it too; with no worker home (central
+        # arbitration) no map is sent.
+        maps = [p for node, kind, p in sent if kind == HOME_MAP]
+        assert sorted(n for n, k, _ in sent if k == HOME_MAP) == map_targets
+        home = _worker(1)
+        asyncio.run(
+            home.handle(
+                Envelope(HOME_ASSIGN, SUPERVISOR, 1, (SUPERVISOR, 1),
+                         {"slices": [0], "placement": {0: 1, 3: 1}})
+            )
+        )
+        for seq, payload in enumerate(maps, start=2):
             asyncio.run(
                 home.handle(
-                    Envelope(HOME_ASSIGN, SUPERVISOR, 3, (SUPERVISOR, 1),
-                             {"slices": [0], "placement": {0: 1, 3: 1}})
+                    Envelope(HOME_MAP, SUPERVISOR, 1, (SUPERVISOR, seq),
+                             payload)
                 )
             )
-            asyncio.run(
-                home.handle(
-                    Envelope(HOME_MAP, SUPERVISOR, 3, (SUPERVISOR, 2),
-                             maps[-1])
-                )
-            )
-            grant = home._home_move_decision(
-                _envelope(MOVE_REQUEST, 2, 1, object_id=0)
-            )
+        # Ask object 0's home, as a mover would.
+        arbiter = {SUPERVISOR: sup.arbiter, 1: home.arbiter}[sup.home[0]]
+        grant, _ = arbiter.grant(2, 0)
         assert grant["granted"] and grant["source"] == 1
         assert grant["incarnation"] == sup.incarnations[1] == 1
 

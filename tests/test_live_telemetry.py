@@ -26,8 +26,16 @@ from repro.availability.livechaos import kill_supervisor_schedule
 from repro.runtime.clock import WallClock
 from repro.runtime.live.demo import run_supervised
 from repro.runtime.live.node import LiveNodeWorker
-from repro.runtime.live.supervisor import SupervisorConfig
-from repro.runtime.live.wire import SEED, SUPERVISOR, Envelope, EnvelopeFactory
+from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
+from repro.runtime.live.wire import (
+    MOVE_REQUEST,
+    PLACE,
+    ROLLBACK,
+    SEED,
+    SUPERVISOR,
+    Envelope,
+    EnvelopeFactory,
+)
 from repro.telemetry.core import NULL_SPAN, NULL_TELEMETRY, Telemetry, span_context
 from repro.telemetry.export import to_chrome_trace
 from repro.telemetry.live import (
@@ -139,6 +147,79 @@ class TestDedupSingleSpan:
             e for e in worker.flight.entries() if e["event"] == "recv"
         ]
         assert [e["duplicate"] for e in recvs] == [False, True]
+
+
+class TestArbiterSpans:
+    """A home and the supervisor serve arbitration through one code
+    path, so their spans time the same decision and carry the same
+    tags."""
+
+    @staticmethod
+    def _arbiter_spans(endpoint, node):
+        """Serve grant -> place -> rollback at ``endpoint``; its spans."""
+        replies = []
+
+        async def capture(envelope, payload=None):
+            replies.append(payload)
+
+        endpoint.transport.reply = capture
+        endpoint.outbox.post = lambda *args, **kwargs: None
+        # Which spans are open while each decision runs.
+        during = []
+        arbiter = endpoint.arbiter
+        for name in ("grant", "place", "rollback"):
+
+            def timed(*args, _decide=getattr(arbiter, name)):
+                open_now = endpoint.telemetry.open_spans()
+                during.append([s.name for s in open_now])
+                return _decide(*args)
+
+            setattr(arbiter, name, timed)
+        mover = EnvelopeFactory(2)
+
+        async def scenario():
+            grant = {"object_id": 0}
+            await endpoint.handle(mover.make(MOVE_REQUEST, node, grant))
+            tid = {"transfer_id": replies[-1]["transfer_id"]}
+            await endpoint.handle(mover.make(PLACE, node, tid))
+            await endpoint.handle(mover.make(ROLLBACK, node, tid))
+
+        asyncio.run(scenario())
+        assert [r.get("granted", r.get("ok")) for r in replies] == [
+            True, True, False,
+        ]
+        spans = [
+            s
+            for s in endpoint.telemetry.spans
+            if s.name in ("live.grant", "live.place", "live.rollback")
+        ]
+        assert all(s.end is not None and s.node == node for s in spans)
+        assert during == [["live.grant"], ["live.place"], ["live.rollback"]]
+        return [(s.name, sorted(s.tags)) for s in spans]
+
+    def test_home_and_supervisor_emit_the_same_spans(self, tmp_path):
+        supervisor = NodeSupervisor(
+            SupervisorConfig(
+                num_nodes=3,
+                num_objects=6,
+                socket_dir=str(tmp_path),
+                wal_fsync=False,
+            ),
+            telemetry=Telemetry(),
+        )
+        home = LiveNodeWorker(
+            1, ("unix", "unused"), {}, [], num_slices=3,
+            telemetry_dir=str(tmp_path),
+        )
+        home.arbiter.assign({0: 1, 3: 1})
+        at_supervisor = self._arbiter_spans(supervisor, SUPERVISOR)
+        supervisor.wal.close()
+        at_home = self._arbiter_spans(home, 1)
+        assert at_home == at_supervisor == [
+            ("live.grant", ["granted", "object"]),
+            ("live.place", ["ok", "transfer"]),
+            ("live.rollback", ["ok", "transfer"]),
+        ]
 
 
 class TestFlightRecorder:
