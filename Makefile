@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test test-faults test-chaos test-telemetry \
         test-versioning test-shard test-live test-wal test-kill-smoke \
         bench bench-kernel \
-        bench-shard bench-suite bench-full figures figures-paper examples clean
+        bench-shard bench-suite claims figures figures-paper examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -110,8 +110,8 @@ test-kill-smoke:
 	rm -f $$log; exit $$status
 
 # The trusted end-to-end suite BENCHMARK.json declares (five fixed-work
-# workloads, per-layer metrics).  The pytest-benchmark figure harness is
-# bench-full; the kernel micro-benches are bench-kernel.
+# workloads, per-layer metrics).  The kernel micro-benches are
+# bench-kernel; the paper's claims are checked by `claims`.
 bench:
 	$(PYTHON) benchmarks/suite/run.py
 
@@ -141,17 +141,26 @@ bench-suite:
 	$(PYTHON) benchmarks/suite/run.py --smoke
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite/tests
 
-# Full paper sweeps under the default stopping rule.
-bench-full:
-	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+# Every claim in PAPER_EXPECTATIONS: each figure and ablation on its
+# thinned grid (2 workers), then each outlook study that states claims.
+# Exits non-zero if any claim fails; every verdict is printed first.
+CLAIMS_OUTLOOKS = $(shell PYTHONPATH=src $(PYTHON) -c "from repro.experiments.expectations import PAPER_EXPECTATIONS as E; from repro.experiments.outlook import OUTLOOK_STUDIES as O; print(*sorted(set(E) & set(O)))")
+claims:
+	@status=0; \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli all --fast --check \
+	  --workers 2 || status=1; \
+	for study in $(CLAIMS_OUTLOOKS); do \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments.cli $$study --fast \
+	    --check || status=1; \
+	done; exit $$status
 
-# Regenerate every figure table on 8 workers.
+# Regenerate every figure and ablation table on every core.
 figures:
-	repro-experiment all --workers 8
+	repro-experiment all --workers auto
 
 # The §4.1 stopping rule (1% CI at p = 0.99) — slow but exact.
 figures-paper:
-	repro-experiment all --workers 8 --paper-precision
+	repro-experiment all --workers auto --paper-precision
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

@@ -12,44 +12,41 @@ Three benches:
   adds window overhead instead of removing wall time); the measured
   ratio and the core count are always recorded.
 * ``test_hotspot_capacity`` — the >= 100k-client / >= 10k-object
-  hot-spot scenario (full size with ``REPRO_BENCH_FULL=1``, downscaled
-  otherwise), checked against the closed-form remote round-trip and a
-  same-scale reference run on half the shard count.
+  hot-spot scenario at 1 % scale, checked against the closed-form
+  remote round-trip and a same-scale reference run on half the shard
+  count.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
-from conftest import FULL_MODE, RESULTS_DIR
 from repro.sim.shard.hotspot import run_hotspot
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.shard.runner import run_sharded_cell
 from repro.sim.stopping import StoppingConfig
 from repro.workload.params import SimulationParameters
 
+RESULTS_DIR = Path(__file__).parent / "results"
+
 #: Stopping rule for the scaling cells: enough observations that the
 #: per-window overhead dominates, small enough to finish quickly.
-SHARD_STOPPING = (
-    StoppingConfig.paper()
-    if FULL_MODE
-    else StoppingConfig(
-        relative_precision=0.05,
-        confidence=0.95,
-        batch_size=200,
-        warmup=200,
-        min_batches=5,
-        max_observations=25_000,
-    )
+SHARD_STOPPING = StoppingConfig(
+    relative_precision=0.05,
+    confidence=0.95,
+    batch_size=200,
+    warmup=200,
+    min_batches=5,
+    max_observations=25_000,
 )
 
 
 def scaling_params(seed: int = 0) -> SimulationParameters:
     """A Fig-12-style heavy-client cell (the sharding sweet spot)."""
-    clients = 256 if FULL_MODE else 64
     return SimulationParameters(
         nodes=32,
-        clients=clients,
+        clients=64,
         servers_layer1=16,
         policy="placement",
         seed=seed,
@@ -146,9 +143,9 @@ def test_shard_speedup_fig12_style(benchmark):
 
 @pytest.mark.benchmark(group="shard-hotspot")
 def test_hotspot_capacity(benchmark):
-    """The >= 100k-client hot-spot completes sharded, metrics sane."""
+    """The hot-spot scenario (1 % scale) completes sharded, metrics sane."""
     shards = 8
-    scale = 1.0 if FULL_MODE else 0.01
+    scale = 0.01
 
     result = benchmark.pedantic(
         run_hotspot,
@@ -157,9 +154,6 @@ def test_hotspot_capacity(benchmark):
         rounds=1,
         iterations=1,
     )
-    if FULL_MODE:
-        assert result.params.clients >= 100_000
-        assert result.params.servers_layer1 >= 10_000
     assert total_calls(result) > 0
     remote = result.raw["remote"]
     assert remote["mean_round_trip"] == pytest.approx(

@@ -85,15 +85,15 @@ def growth_rate(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
 def is_sublinear(x: Sequence[float], y: Sequence[float]) -> bool:
     """Whether the curve's local slope decreases over the range.
 
-    Compares the average slope of the first and last halves; used to
-    check the paper's claim that the place-policy curve "grows
-    sublinearly in the number of clients and the growing rate
-    decreases".
+    Compares the average slope of the first and last halves (which
+    share the middle point, so three points suffice); used to check the
+    paper's claim that the place-policy curve "grows sublinearly in the
+    number of clients and the growing rate decreases".
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) < 4:
-        raise ValueError("need at least four points")
+    if len(x) < 3:
+        raise ValueError("need at least three points")
     mid = len(x) // 2
     first, _ = growth_rate(x[: mid + 1], y[: mid + 1])
     second, _ = growth_rate(x[mid:], y[mid:])

@@ -4,7 +4,7 @@
 for collocating them."  This subpackage injects node failures and
 measures the trade-off between collocated and spread placements of a
 group of related objects.  See
-``benchmarks/bench_outlook_availability.py``.
+``repro-experiment availability --check``.
 """
 
 from repro._exports import lazy_exports

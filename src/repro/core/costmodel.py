@@ -16,7 +16,8 @@ For the two-concurrent-movers scenario of Fig 4 the paper derives:
 
 The place-policy is therefore strictly cheaper whenever M > C... in
 fact whenever ``M + C > 0``.  These closed forms cross-check the
-simulation (bench_costmodel) and power the break-even analytics.
+simulation (``tests/test_core_costmodel.py``) and power the break-even
+analytics.
 """
 
 from __future__ import annotations

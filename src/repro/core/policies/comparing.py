@@ -58,7 +58,7 @@ class ComparingNodes(MigrationPolicy):
         with the object (``record_transfer_time`` extra transfer time
         per open move-request record).  §4.3 predicts the dynamic
         policies' "minor gains" disappear under these costs —
-        ``bench_ablation_overhead`` confirms it."""
+        ``tests/test_core_overhead.py`` confirms it."""
         super().__init__(system, attachments)
         self.locks = locks or LockManager()
         if record_transfer_time < 0:

@@ -10,7 +10,7 @@ under a placement rejection) until the object has cooled down.
 
 The guard composes: ``ThrashingGuard(ConventionalMigration(...))`` caps
 the conventional policy's hot-spot degradation (see
-``benchmarks/bench_ablation_guard.py``), while
+``repro-experiment guard --check``), while
 ``ThrashingGuard(TransientPlacement(...))`` barely changes anything —
 placement rarely thrashes in the first place.
 """

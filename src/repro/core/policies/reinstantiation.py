@@ -47,7 +47,7 @@ class ComparingReinstantiation(ComparingNodes):
         of 3 was calibrated so the policy reproduces Fig 14's "minor
         gains over conservative placement" (smaller margins re-migrate
         so eagerly that transit blocking erases the benefit; see
-        benchmarks/bench_ablation_margin.py).  ``charge_overhead`` /
+        ``tests/test_core_policies.py``).  ``charge_overhead`` /
         ``record_transfer_time`` as in :class:`ComparingNodes`."""
         super().__init__(
             system,

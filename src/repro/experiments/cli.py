@@ -4,7 +4,8 @@ Examples::
 
     repro-experiment fig12 --fast
     repro-experiment fig16 --seed 7 --workers 4 --csv fig16.csv
-    repro-experiment all --fast
+    repro-experiment all --fast --check
+    repro-experiment replication --fast --check
 """
 
 from __future__ import annotations
@@ -14,8 +15,13 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.executor import ParallelExecutor, resolve_workers
+from repro.experiments.expectations import format_verdicts, verify_expectations
 from repro.experiments.figures import FIGURES, make_figure
-from repro.experiments.outlook import OUTLOOK_STUDIES, run_outlook
+from repro.experiments.outlook import (
+    OUTLOOK_STUDIES,
+    OutlookTable,
+    format_outlook_table,
+)
 from repro.experiments.report import format_table, to_csv
 from repro.experiments.runner import run_figure
 from repro.sim.stopping import StoppingConfig
@@ -44,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         + sorted(OUTLOOK_STUDIES)
         + ["all", "telemetry", "live"],
         help=(
-            "which figure to regenerate (figN), one of the outlook "
+            "which figure to regenerate (figN), one of the ablations "
+            "(guard / locator / nm_ratio / exclusive / visit / topology), "
+            "one of the outlook "
             "studies (replication / fragmentation / availability / "
             "faulttolerance / chaos / deploy), 'telemetry' for one "
             "fully instrumented run with exported traces, or 'live' "
@@ -169,9 +177,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="verify the paper's claims about this figure (PASS/FAIL)",
+        help="verify the claims about this figure, ablation or outlook "
+        "study (PASS/FAIL per claim; exit 1 if any fails)",
     )
     return parser
+
+
+def _check(result) -> bool:
+    """Print the result's claim verdicts; True when every claim holds."""
+    verdicts = verify_expectations(result)
+    print(format_verdicts(verdicts))
+    print()
+    return all(v.passed for v in verdicts)
 
 
 def _stopping(args) -> StoppingConfig:
@@ -193,7 +210,6 @@ def _run_telemetry(args) -> int:
     ``repro-experiment deploy --telemetry DIR`` exports the deploy
     span tree (stages, per-object upgrades, rollbacks) the same way.
     """
-    from repro.availability.chaos import SCENARIOS
     from repro.experiments.telemetry_run import (
         describe_run,
         run_instrumented_chaos,
@@ -204,16 +220,7 @@ def _run_telemetry(args) -> int:
 
     out_dir = args.telemetry or "telemetry-out"
     if args.figure == "deploy":
-        from repro.versioning.study import DEPLOY_SCENARIOS
-
         scenario = args.scenario or "crash-coordinator"
-        if scenario not in DEPLOY_SCENARIOS:
-            print(
-                f"unknown deploy scenario {scenario!r}; choose from "
-                f"{sorted(DEPLOY_SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
         print(
             f"instrumented deploy scenario {scenario!r} "
             f"(seed {args.seed}) -> {out_dir}",
@@ -229,13 +236,6 @@ def _run_telemetry(args) -> int:
     use_chaos = args.figure == "chaos" or args.scenario is not None
     if use_chaos:
         scenario = args.scenario or "crash-storm"
-        if scenario not in SCENARIOS:
-            print(
-                f"unknown scenario {scenario!r}; choose from "
-                f"{sorted(SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
         print(
             f"instrumented chaos scenario {scenario!r} "
             f"(seed {args.seed}) -> {out_dir}",
@@ -359,59 +359,56 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.figure == "live":
         return _run_live(args)
 
-    if args.scenario is not None and args.figure not in (
-        "chaos",
-        "deploy",
-        "telemetry",
-    ):
-        print(
+    # (flag given, the commands it applies to, the error otherwise)
+    for given, commands, error in (
+        (
+            args.scenario is not None,
+            ("chaos", "deploy", "telemetry"),
             "--scenario only applies to the chaos and deploy studies "
             "and telemetry runs",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.telemetry is not None and args.figure not in (
-        "faulttolerance",
-        "chaos",
-        "deploy",
-        "telemetry",
-    ):
-        print(
+        ),
+        (
+            args.telemetry is not None,
+            ("faulttolerance", "chaos", "deploy", "telemetry"),
             "--telemetry only applies to faulttolerance, chaos, deploy "
             "and telemetry runs",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.markdown is not None and args.figure != "deploy":
-        print(
+        ),
+        (
+            args.markdown is not None,
+            ("deploy",),
             "--markdown only applies to the deploy study",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.shards != 1 and args.figure not in FIGURES and args.figure != "all":
-        print(
+        ),
+        (
+            args.shards != 1,
+            (*FIGURES, "all"),
             "--shards only applies to figure runs (figN or 'all')",
-            file=sys.stderr,
-        )
-        return 2
+        ),
+    ):
+        if given and args.figure not in commands:
+            print(error, file=sys.stderr)
+            return 2
+
+    if args.scenario is not None:
+        # A deploy scenario for deploy, a chaos scenario otherwise.
+        if args.figure == "deploy":
+            from repro.versioning.study import DEPLOY_SCENARIOS as known
+        else:
+            from repro.availability.chaos import SCENARIOS as known
+        if args.scenario not in known:
+            kind = "deploy scenario" if args.figure == "deploy" else "scenario"
+            print(
+                f"unknown {kind} {args.scenario!r}; choose from "
+                f"{sorted(known)}",
+                file=sys.stderr,
+            )
+            return 2
 
     if args.figure == "telemetry" or args.telemetry is not None:
         return _run_telemetry(args)
 
     if args.figure == "chaos" and args.scenario is not None:
-        from repro.availability.chaos import SCENARIOS
-        from repro.experiments.outlook import chaos_sweep, format_outlook_table
+        from repro.experiments.outlook import chaos_sweep
 
-        if args.scenario not in SCENARIOS:
-            print(
-                f"unknown scenario {args.scenario!r}; choose from "
-                f"{sorted(SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
         print(
             f"running chaos scenario {args.scenario!r}", file=sys.stderr
         )
@@ -422,7 +419,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.figure == "deploy":
-        from repro.experiments.outlook import format_outlook_table
         from repro.versioning.study import (
             DEPLOY_SCENARIOS,
             deploy_report_markdown,
@@ -430,13 +426,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_deploy_matrix,
         )
 
-        if args.scenario is not None and args.scenario not in DEPLOY_SCENARIOS:
-            print(
-                f"unknown deploy scenario {args.scenario!r}; choose from "
-                f"{sorted(DEPLOY_SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
         scenarios = (
             DEPLOY_SCENARIOS if args.scenario is None else (args.scenario,)
         )
@@ -457,7 +446,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"running outlook study {args.figure!r}", file=sys.stderr
         )
-        print(run_outlook(args.figure, seed=args.seed, stopping=stopping))
+        header, rows = OUTLOOK_STUDIES[args.figure](
+            seed=args.seed, stopping=stopping
+        )
+        print(format_outlook_table(args.figure, header, rows))
+        if args.check:
+            print()
+            return 0 if _check(OutlookTable(args.figure, header, rows)) else 1
         return 0
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
@@ -491,6 +486,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.shards, stopping=stopping, workers=args.workers
         )
 
+    status = 0
     for name in names:
         definition = make_figure(name, seed=args.seed, fast=args.fast)
         print(
@@ -521,17 +517,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             path = args.json if len(names) == 1 else f"{name}_{args.json}"
             save_result(result, path)
             print(f"wrote {path}", file=sys.stderr)
-        if args.check:
-            from repro.experiments.expectations import (
-                format_verdicts,
-                verify_expectations,
-            )
-
-            verdicts = verify_expectations(result)
-            print(format_verdicts(verdicts))
-            print()
-            if any(not v.passed for v in verdicts):
-                return 1
+        # Every experiment runs and prints its verdicts; one failed
+        # claim fails the invocation at the end, not the loop.
+        if args.check and not _check(result):
+            status = 1
     if cache is not None:
         print(
             f"cache: {executor.cache_hits} hits, "
@@ -539,7 +528,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({executor.cells_executed} cells simulated)",
             file=sys.stderr,
         )
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,16 +1,19 @@
-"""Per-figure experiment definitions (§4's evaluation).
+"""Per-figure experiment definitions (§4's evaluation) and ablations.
 
-Each function returns the :class:`~repro.experiments.config.
-ExperimentDef` that regenerates one figure of the paper, with the exact
-parameter tables printed next to the figures (Figs 9, 13, 15, 17).
+Each factory in :data:`FIGURES` returns the :class:`~repro.experiments.
+config.ExperimentDef` that regenerates one figure of the paper, with the
+exact parameter tables printed next to the figures (Figs 9, 13, 15, 17),
+or one ablation: a short grid of cells around a figure's base that
+checks something the paper mentions, neglects or normalizes away.
 
-``fast=True`` thins the sweep for smoke tests and CI; the full grids
-are what EXPERIMENTS.md reports.
+``fast=True`` thins the figures' sweeps for smoke tests and CI; the full
+grids are what EXPERIMENTS.md reports.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, Tuple, Union
 
 from repro.core.attachment import AttachmentMode
 from repro.experiments.config import ExperimentDef, SeriesDef
@@ -39,6 +42,32 @@ FIG8_POLICIES = (
 )
 
 
+Variants = Tuple[Tuple[str, Dict[str, Any]], ...]
+
+
+def _series(
+    base: SimulationParameters,
+    seed: int,
+    variants: Variants,
+    axis: Callable[[float], Dict[str, Any]] = lambda c: {"clients": int(c)},
+) -> Tuple[SeriesDef, ...]:
+    """One curve per ``(label, overrides)`` of ``base``; ``axis`` maps
+    an x-value to its own overrides (default: the client count)."""
+    return tuple(
+        SeriesDef(
+            label=label,
+            cell=lambda x, overrides=overrides: base.with_overrides(
+                seed=seed, **axis(x), **overrides
+            ),
+        )
+        for label, overrides in variants
+    )
+
+
+def _policies(pairs) -> Variants:
+    return tuple((label, {"policy": policy}) for label, policy in pairs)
+
+
 def _tm_sweep(fast: bool) -> Tuple[float, ...]:
     if fast:
         return (4.0, 30.0, 100.0)
@@ -47,14 +76,11 @@ def _tm_sweep(fast: bool) -> Tuple[float, ...]:
 
 def figure8(seed: int = 0, fast: bool = False) -> ExperimentDef:
     """Fig 8: mean communication time per call vs t_m (usage distance)."""
-    series = tuple(
-        SeriesDef(
-            label=label,
-            cell=lambda tm, policy=policy: FIG8_BASE.with_overrides(
-                mean_interblock_time=tm, policy=policy, seed=seed
-            ),
-        )
-        for label, policy in FIG8_POLICIES
+    series = _series(
+        FIG8_BASE,
+        seed,
+        _policies(FIG8_POLICIES),
+        axis=lambda tm: {"mean_interblock_time": tm},
     )
     return ExperimentDef(
         exp_id="fig8",
@@ -73,13 +99,10 @@ def figure8(seed: int = 0, fast: bool = False) -> ExperimentDef:
 
 def figure10(seed: int = 0, fast: bool = False) -> ExperimentDef:
     """Fig 10: the call-duration component of Fig 8."""
-    base = figure8(seed=seed, fast=fast)
-    return ExperimentDef(
+    return replace(
+        figure8(seed=seed, fast=fast),
         exp_id="fig10",
         title="Duration of Invocations",
-        x_label=base.x_label,
-        x_values=base.x_values,
-        series=base.series,
         metric="mean_call_duration",
         notes="Call duration rises as concurrency rises (t_m falls).",
     )
@@ -87,13 +110,10 @@ def figure10(seed: int = 0, fast: bool = False) -> ExperimentDef:
 
 def figure11(seed: int = 0, fast: bool = False) -> ExperimentDef:
     """Fig 11: the migration-load component of Fig 8."""
-    base = figure8(seed=seed, fast=fast)
-    return ExperimentDef(
+    return replace(
+        figure8(seed=seed, fast=fast),
         exp_id="fig11",
         title="Migration-Load",
-        x_label=base.x_label,
-        x_values=base.x_values,
-        series=base.series,
         metric="mean_migration_time_per_call",
         notes=(
             "Migration time per call falls at maximum concurrency: the "
@@ -126,30 +146,48 @@ def _client_sweep(fast: bool, maximum: int) -> Tuple[float, ...]:
     return tuple(float(c) for c in step_points if c <= maximum)
 
 
-def figure12(seed: int = 0, fast: bool = False) -> ExperimentDef:
-    """Fig 12: mean communication time per call vs number of clients."""
-    series = tuple(
-        SeriesDef(
-            label=label,
-            cell=lambda c, policy=policy: FIG12_BASE.with_overrides(
-                clients=int(c), policy=policy, seed=seed
+def _client_figure(
+    exp_id: str,
+    title: str,
+    base: SimulationParameters,
+    variants: Variants,
+    notes: str,
+    clients: Union[int, Tuple[int, ...]] = 25,
+) -> Callable[..., ExperimentDef]:
+    """A figure factory over the number of clients.
+
+    An int ``clients`` is the top of the paper's client sweep, thinned
+    by ``fast``; a tuple is a fixed grid (the ablations', already thin).
+    """
+
+    def factory(seed: int = 0, fast: bool = False) -> ExperimentDef:
+        return ExperimentDef(
+            exp_id=exp_id,
+            title=title,
+            x_label="Number of Clients",
+            x_values=(
+                _client_sweep(fast, clients)
+                if isinstance(clients, int)
+                else tuple(float(c) for c in clients)
             ),
+            series=_series(base, seed, variants),
+            notes=notes,
         )
-        for label, policy in FIG8_POLICIES
-    )
-    return ExperimentDef(
-        exp_id="fig12",
-        title="Increasing the Number of Clients",
-        x_label="Number of Clients",
-        x_values=_client_sweep(fast, 25),
-        series=series,
-        metric="mean_communication_time_per_call",
-        notes=(
-            "Conventional migration grows ~linearly and crosses the "
-            "sedentary baseline near C=6; placement grows sublinearly "
-            "with break-even near C=20 (paper's numbers)."
-        ),
-    )
+
+    factory.__doc__ = f"{title}: {notes}"
+    return factory
+
+
+#: Fig 12: mean communication time per call vs number of clients.
+figure12 = _client_figure(
+    "fig12",
+    "Increasing the Number of Clients",
+    FIG12_BASE,
+    _policies(FIG8_POLICIES),
+    "Conventional migration grows ~linearly and crosses the "
+    "sedentary baseline near C=6; placement grows sublinearly "
+    "with break-even near C=20 (paper's numbers).",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +213,16 @@ FIG14_POLICIES = (
 )
 
 
-def figure14(seed: int = 0, fast: bool = False) -> ExperimentDef:
-    """Fig 14: intelligent placement strategies vs number of clients."""
-    series = tuple(
-        SeriesDef(
-            label=label,
-            cell=lambda c, policy=policy: FIG14_BASE.with_overrides(
-                clients=int(c), policy=policy, seed=seed
-            ),
-        )
-        for label, policy in FIG14_POLICIES
-    )
-    return ExperimentDef(
-        exp_id="fig14",
-        title="Exploiting Dynamic Information",
-        x_label="Number of Clients",
-        x_values=_client_sweep(fast, 25),
-        series=series,
-        metric="mean_communication_time_per_call",
-        notes=(
-            "Both intelligent strategies track the conservative place-"
-            "policy closely; gains are marginal even with their "
-            "bookkeeping overhead neglected (§4.3)."
-        ),
-    )
+#: Fig 14: intelligent placement strategies vs number of clients.
+figure14 = _client_figure(
+    "fig14",
+    "Exploiting Dynamic Information",
+    FIG14_BASE,
+    _policies(FIG14_POLICIES),
+    "Both intelligent strategies track the conservative place-"
+    "policy closely; gains are marginal even with their "
+    "bookkeeping overhead neglected (§4.3).",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -219,72 +243,148 @@ FIG16_BASE = SimulationParameters(
     working_set_size=2,
 )
 
-#: label, policy, attachment mode, use_alliances
+#: attachment label -> (attachment mode, use_alliances)
+ATTACHMENTS = {
+    "unrestricted": (AttachmentMode.UNRESTRICTED, False),
+    "exclusive": (AttachmentMode.EXCLUSIVE, False),
+    "A-transitive": (AttachmentMode.A_TRANSITIVE, True),
+}
+
+
+def _attached(label: str, policy: str, attachment: str):
+    mode, ally = ATTACHMENTS[attachment]
+    return label, dict(policy=policy, attachment_mode=mode, use_alliances=ally)
+
+
+#: Fig 16's legend: the sedentary baseline, then policy x attachment.
 FIG16_VARIANTS = (
-    ("without Migration", "sedentary", AttachmentMode.UNRESTRICTED, False),
-    (
-        "Migration + unrestricted Attachment",
-        "migration",
-        AttachmentMode.UNRESTRICTED,
-        False,
-    ),
-    (
-        "Migration + A-transitive Attachment",
-        "migration",
-        AttachmentMode.A_TRANSITIVE,
-        True,
-    ),
-    (
-        "Transient Placement + unrestricted Attachment",
-        "placement",
-        AttachmentMode.UNRESTRICTED,
-        False,
-    ),
-    (
-        "Transient Placement + A-transitive Attachment",
-        "placement",
-        AttachmentMode.A_TRANSITIVE,
-        True,
-    ),
+    _attached("without Migration", "sedentary", "unrestricted"),
+) + tuple(
+    _attached(f"{label} + {attachment} Attachment", policy, attachment)
+    for label, policy in FIG8_POLICIES[1:]
+    for attachment in ("unrestricted", "A-transitive")
 )
 
 
-def figure16(seed: int = 0, fast: bool = False) -> ExperimentDef:
-    """Fig 16: attachment semantics under increasing client counts."""
-    series = tuple(
-        SeriesDef(
-            label=label,
-            cell=lambda c, policy=policy, mode=mode, ally=ally: (
-                FIG16_BASE.with_overrides(
-                    clients=int(c),
-                    policy=policy,
-                    attachment_mode=mode,
-                    use_alliances=ally,
-                    seed=seed,
-                )
-            ),
+#: Fig 16: attachment semantics under increasing client counts.
+figure16 = _client_figure(
+    "fig16",
+    "Keeping Objects Together",
+    FIG16_BASE,
+    FIG16_VARIANTS,
+    "Migration + unrestricted attachment is devastating (clients "
+    "steal whole chained working sets); A-transitive attachment "
+    "bounds the damage; placement + A-transitive is best (§4.4).",
+    clients=12,
+)
+
+
+# ---------------------------------------------------------------------------
+# Ablations — what the paper mentions, neglects or normalizes away
+# ---------------------------------------------------------------------------
+
+
+#: §2.2's transient fixing "to avoid thrashing", on Fig 12's hot spot.
+guard_ablation = _client_figure(
+    "guard",
+    "Transient Fixing against Thrashing",
+    FIG12_BASE,
+    _policies(
+        (
+            ("Migration", "migration"),
+            ("Guarded Migration", "guarded:migration"),
+            ("Transient Placement", "placement"),
         )
-        for label, policy, mode, ally in FIG16_VARIANTS
-    )
-    return ExperimentDef(
-        exp_id="fig16",
-        title="Keeping Objects Together",
-        x_label="Number of Clients",
-        x_values=_client_sweep(fast, 12),
-        series=series,
-        metric="mean_communication_time_per_call",
-        notes=(
-            "Migration + unrestricted attachment is devastating (clients "
-            "steal whole chained working sets); A-transitive attachment "
-            "bounds the damage; placement + A-transitive is best (§4.4)."
-        ),
-    )
+    ),
+    "The ThrashingGuard pins ping-ponging objects, capping conventional "
+    "migration's hot-spot degradation; it only rate-limits conflicts, "
+    "so it does not reach the place-policy.",
+    clients=(3, 10, 20, 25),
+)
+
+#: The object-location strategies §4.1 folds into the message time.
+LOCATORS = ("immediate", "forwarding", "nameserver", "broadcast")
+
+locator_ablation = _client_figure(
+    "locator",
+    "Object-Location Strategies",
+    FIG12_BASE,
+    tuple(
+        (f"{label} ({locator})", dict(policy=policy, locator=locator))
+        for locator in LOCATORS
+        for label, policy in FIG8_POLICIES[1:]
+    ),
+    "Immediate update is the paper's zero-cost model; the other "
+    "locators add cost without reversing the policy ordering.",
+    clients=(10,),
+)
+
+#: §4.2.2's predicted N/M effect on placement's break-even.
+nm_ratio_ablation = _client_figure(
+    "nm_ratio",
+    "Break-even vs N/M (M = 6)",
+    FIG12_BASE,
+    tuple(
+        (f"{label}, N~exp({n:g})", dict(policy=policy, mean_calls_per_block=n))
+        for n in (8.0, 16.0)
+        for label, policy in (FIG8_POLICIES[0], FIG8_POLICIES[2])
+    ),
+    "Doubling the calls per move-block pushes placement's break-even "
+    "with the sedentary baseline right, possibly out of range.",
+    clients=(1, 3, 6, 10, 15, 20, 25),
+)
+
+#: §3.4's exclusive attachment, described but not plotted.
+exclusive_ablation = _client_figure(
+    "exclusive",
+    "Exclusive Attachment",
+    FIG16_BASE,
+    tuple(
+        _attached(f"{label} + {attachment} Attachment", policy, attachment)
+        for label, policy in FIG8_POLICIES[1:]
+        for attachment in ATTACHMENTS
+    ),
+    "First-come-first-served exclusivity bounds working sets without "
+    "aligning them with usage: between unrestricted and A-transitive.",
+    clients=(10,),
+)
+
+#: §2.3's call-by-visit against the paper's call-by-move.
+visit_ablation = _client_figure(
+    "visit",
+    "Call-by-Move vs Call-by-Visit",
+    FIG12_BASE,
+    tuple(
+        (f"{label} ({style})", dict(policy=policy, block_style=style))
+        for label, policy in FIG8_POLICIES[1:]
+        for style in ("move", "visit")
+    ),
+    "Visit returns the object home after every block and pays the "
+    "return transfer; for uniform clients home is no better a place.",
+    clients=(3, 10, 20),
+)
+
+#: §4.1's "other structures had no effects", under its normalized
+#: latency (per-hop latency, where they do, is a unit test).
+topology_ablation = _client_figure(
+    "topology",
+    "Transient Placement per Topology (normalized latency)",
+    FIG12_BASE,
+    tuple(
+        (name, dict(policy="placement", topology=name))
+        for name in ("full", "ring", "star", "grid")
+    ),
+    "Message latency has one mean for every node pair, so the "
+    "topology curves agree within noise.",
+    clients=(3, 10),
+)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
+#: Everything ``repro-experiment <id>`` and ``all`` regenerate.
 FIGURES = {
     "fig8": figure8,
     "fig10": figure10,
@@ -292,6 +392,12 @@ FIGURES = {
     "fig12": figure12,
     "fig14": figure14,
     "fig16": figure16,
+    "guard": guard_ablation,
+    "locator": locator_ablation,
+    "nm_ratio": nm_ratio_ablation,
+    "exclusive": exclusive_ablation,
+    "visit": visit_ablation,
+    "topology": topology_ablation,
 }
 
 

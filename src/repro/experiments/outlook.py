@@ -18,11 +18,15 @@ the three extension studies the same one-command treatment:
 
 Each function returns ``(header_row, data_rows)`` ready for
 :func:`format_outlook_table`, keeping these studies printable and
-CSV-exportable exactly like the figures.
+CSV-exportable exactly like the figures.  Wrapped in an
+:class:`OutlookTable`, the same rows are checked against their claims
+in :data:`~repro.experiments.expectations.PAPER_EXPECTATIONS`
+(``repro-experiment replication --check``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.availability import (
@@ -31,6 +35,7 @@ from repro.availability import (
     run_availability_cell,
     run_faulttolerance_cell,
 )
+from repro.experiments.report import format_rows
 from repro.fragmentation import (
     FragmentationParameters,
     run_fragmentation_cell,
@@ -41,27 +46,52 @@ from repro.sim.stopping import StoppingConfig
 Rows = Tuple[List[str], List[List[float]]]
 
 
+@dataclass(frozen=True)
+class OutlookTable:
+    """A sweep's rows read like a figure: x is the first column, and
+    every other column is a series named by its header."""
+
+    exp_id: str
+    header: List[str]
+    rows: List[list]
+
+    @property
+    def labels(self) -> List[str]:
+        """Series names: every column header after the first."""
+        return self.header[1:]
+
+    @property
+    def x_values(self) -> Tuple[float, ...]:
+        """The swept parameter (the first column)."""
+        return tuple(row[0] for row in self.rows)
+
+    def series(self, label: str) -> List[float]:
+        """One column, by its header."""
+        column = self.header.index(label)
+        return [row[column] for row in self.rows]
+
+
+def _sweep(x_name: str, xs, columns, measure) -> Rows:
+    """One row per x: the x, then ``measure(column, x)`` per column."""
+    header = [x_name] + list(columns)
+    return header, [[float(x)] + [measure(c, x) for c in columns] for x in xs]
+
+
 def replication_sweep(
     seed: int = 0,
     stopping: Optional[StoppingConfig] = None,
     read_ratios: Sequence[float] = (0.99, 0.95, 0.9, 0.8, 0.7, 0.5),
 ) -> Rows:
     """Mean op time per read ratio for the three replication policies."""
-    policies = ("none", "eager", "threshold")
-    header = ["read_ratio"] + list(policies)
-    rows = []
-    for ratio in read_ratios:
-        row = [float(ratio)]
-        for policy in policies:
-            result = run_replication_cell(
-                ReplicationParameters(
-                    policy=policy, read_ratio=ratio, seed=seed
-                ),
-                stopping=stopping,
-            )
-            row.append(result.mean_op_time)
-        rows.append(row)
-    return header, rows
+    return _sweep(
+        "read_ratio",
+        read_ratios,
+        ("none", "eager", "threshold"),
+        lambda policy, ratio: run_replication_cell(
+            ReplicationParameters(policy=policy, read_ratio=ratio, seed=seed),
+            stopping=stopping,
+        ).mean_op_time,
+    )
 
 
 def fragmentation_sweep(
@@ -71,24 +101,20 @@ def fragmentation_sweep(
     clients: int = 20,
 ) -> Rows:
     """Mean communication time per fragment count, both main policies."""
-    policies = ("migration", "placement")
-    header = ["fragments"] + list(policies)
-    rows = []
-    for k in fragment_counts:
-        row = [float(k)]
-        for policy in policies:
-            result = run_fragmentation_cell(
-                FragmentationParameters(
-                    policy=policy,
-                    clients=clients,
-                    fragments_per_object=k,
-                    seed=seed,
-                ),
-                stopping=stopping,
-            )
-            row.append(result.mean_communication_time_per_call)
-        rows.append(row)
-    return header, rows
+    return _sweep(
+        "fragments",
+        fragment_counts,
+        ("migration", "placement"),
+        lambda policy, k: run_fragmentation_cell(
+            FragmentationParameters(
+                policy=policy,
+                clients=clients,
+                fragments_per_object=k,
+                seed=seed,
+            ),
+            stopping=stopping,
+        ).mean_communication_time_per_call,
+    )
 
 
 def availability_sweep(
@@ -99,25 +125,21 @@ def availability_sweep(
     mttr: float = 50.0,
 ) -> Rows:
     """Mean op time per group-op fraction for the two placements."""
-    placements = ("collocated", "spread")
-    header = ["group_op_fraction"] + list(placements)
-    rows = []
-    for mix in mixes:
-        row = [float(mix)]
-        for placement in placements:
-            result = run_availability_cell(
-                AvailabilityParameters(
-                    placement=placement,
-                    mttf=mttf,
-                    mttr=mttr,
-                    group_op_fraction=mix,
-                    seed=seed,
-                ),
-                stopping=stopping,
-            )
-            row.append(result.mean_op_time)
-        rows.append(row)
-    return header, rows
+    return _sweep(
+        "group_op_fraction",
+        mixes,
+        ("collocated", "spread"),
+        lambda placement, mix: run_availability_cell(
+            AvailabilityParameters(
+                placement=placement,
+                mttf=mttf,
+                mttr=mttr,
+                group_op_fraction=mix,
+                seed=seed,
+            ),
+            stopping=stopping,
+        ).mean_op_time,
+    )
 
 
 def faulttolerance_sweep(
@@ -133,35 +155,31 @@ def faulttolerance_sweep(
 
     The place-policy column runs with leases enabled — the unleased
     variant degenerates under crashes (abandoned blocks leak their
-    locks forever); the bench in
-    ``benchmarks/bench_outlook_faulttolerance.py`` demonstrates that
-    contrast directly.  ``stopping`` is accepted for registry symmetry
-    but unused: fault-tolerance cells run a fixed horizon so degraded
-    cells cannot cut their run short by producing few observations.
+    locks forever); ``tests/test_availability_faulttolerance.py``
+    checks that contrast directly.  ``stopping`` is accepted for
+    registry symmetry but unused: fault-tolerance cells run a fixed
+    horizon so degraded cells cannot cut their run short by producing
+    few observations.
     """
     del stopping
-    policies = ("sedentary", "migration", "placement")
-    header = ["loss"] + list(policies)
-    rows = []
-    for loss in losses:
-        row = [float(loss)]
-        for policy in policies:
-            result = run_faulttolerance_cell(
-                FaultToleranceParameters(
-                    policy=policy,
-                    lease_duration=(
-                        lease_duration if policy == "placement" else None
-                    ),
-                    loss=loss,
-                    mttf=mttf,
-                    mttr=mttr,
-                    sim_time=sim_time,
-                    seed=seed,
-                )
+    return _sweep(
+        "loss",
+        losses,
+        ("sedentary", "migration", "placement"),
+        lambda policy, loss: run_faulttolerance_cell(
+            FaultToleranceParameters(
+                policy=policy,
+                lease_duration=(
+                    lease_duration if policy == "placement" else None
+                ),
+                loss=loss,
+                mttf=mttf,
+                mttr=mttr,
+                sim_time=sim_time,
+                seed=seed,
             )
-            row.append(result.mean_call_duration)
-        rows.append(row)
-    return header, rows
+        ).mean_call_duration,
+    )
 
 
 def chaos_sweep(
@@ -246,32 +264,9 @@ OUTLOOK_STUDIES = {
 def format_outlook_table(
     name: str, header: List[str], rows: List[List[float]], precision: int = 3
 ) -> str:
-    """Aligned text table, matching the figure tables' style.
-
-    The first column may be numeric (a swept parameter) or a string
-    (e.g. a chaos scenario name); later columns render floats at
-    ``precision``, ints bare, and pass strings through (e.g. a deploy
-    status).
-    """
-
-    def cell(v, first: bool) -> str:
-        if isinstance(v, str):
-            return v
-        if first or isinstance(v, int):
-            return f"{v:g}"
-        return f"{v:.{precision}f}"
-
-    str_rows = [header] + [
-        [cell(v, i == 0) for i, v in enumerate(row)] for row in rows
-    ]
-    widths = [max(len(r[i]) for r in str_rows) for i in range(len(header))]
-    lines = [
-        f"outlook:{name}",
-        "-" * (sum(widths) + 3 * len(widths)),
-    ]
-    for r in str_rows:
-        lines.append("   ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    return "\n".join(lines)
+    """Aligned text table, in the figure tables' style
+    (:func:`~repro.experiments.report.format_rows`)."""
+    return format_rows(f"outlook:{name}", header, rows, precision)
 
 
 def run_outlook(

@@ -23,20 +23,37 @@ def format_table(
     """Aligned text table of one experiment's curves."""
     defn = result.definition
     metric = metric or defn.metric
-    labels = result.labels
-    header = [defn.x_label] + labels
-    rows = result.as_table(metric)
+    return format_rows(
+        f"{defn.exp_id}: {defn.title}   [metric: {metric}]",
+        [defn.x_label] + result.labels,
+        result.as_table(metric),
+        precision,
+    )
+
+
+def format_rows(
+    title: str, header: List[str], rows: List[list], precision: int = 3
+) -> str:
+    """A title, a rule, then the header and rows right-aligned.
+
+    The first column may be numeric (a swept parameter) or a string
+    (e.g. a chaos scenario name); later columns render floats at
+    ``precision``, ints bare, and pass strings through (e.g. a deploy
+    status).
+    """
+
+    def cell(v, first: bool) -> str:
+        if isinstance(v, str):
+            return v
+        if first or isinstance(v, int):
+            return f"{v:g}"
+        return f"{v:.{precision}f}"
 
     str_rows = [header] + [
-        [f"{row[0]:g}"] + [f"{v:.{precision}f}" for v in row[1:]] for row in rows
+        [cell(v, i == 0) for i, v in enumerate(row)] for row in rows
     ]
-    widths = [
-        max(len(r[i]) for r in str_rows) for i in range(len(header))
-    ]
-    lines = [
-        f"{defn.exp_id}: {defn.title}   [metric: {metric}]",
-        "-" * (sum(widths) + 3 * len(widths)),
-    ]
+    widths = [max(len(r[i]) for r in str_rows) for i in range(len(header))]
+    lines = [title, "-" * (sum(widths) + 3 * len(widths))]
     for r in str_rows:
         lines.append("   ".join(cell.rjust(w) for cell, w in zip(r, widths)))
     return "\n".join(lines)

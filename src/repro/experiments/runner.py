@@ -44,6 +44,16 @@ class ExperimentResult:
         """Series labels in definition order."""
         return [s.label for s in self.definition.series]
 
+    @property
+    def exp_id(self) -> str:
+        """The definition's identifier (keys its claims)."""
+        return self.definition.exp_id
+
+    @property
+    def x_values(self) -> Tuple[float, ...]:
+        """The sweep points the curves are aligned with."""
+        return self.definition.x_values
+
     def as_table(self, metric: Optional[str] = None) -> List[List[float]]:
         """Rows of [x, y_series1, y_series2, ...] for reports."""
         metric = metric or self.definition.metric

@@ -3,7 +3,7 @@
 Sibling of :mod:`repro.replication`: studies whether the paper's
 conflict story extends to fragmentation [MGL+94], and how fragment
 granularity trades per-conflict damage against per-block message
-overhead.  See ``benchmarks/bench_outlook_fragmentation.py``.
+overhead.  See ``repro-experiment fragmentation --check``.
 """
 
 from repro.fragmentation.workload import (

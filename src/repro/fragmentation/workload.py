@@ -12,7 +12,8 @@ A client's move-block touches a random subset of fragments (a fraction
 parallel* through the configured migration policy, performs its N
 invocations against random touched fragments, and ends all the blocks.
 
-Granularity trade-off this exposes (``bench_outlook_fragmentation``):
+Granularity trade-off this exposes (``repro-experiment fragmentation
+--check``):
 
 * finer fragments mean a conflict steals less state and blocks callers
   for M/K instead of M — degradation shrinks with K;

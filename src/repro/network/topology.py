@@ -5,7 +5,7 @@ notes the authors "also performed simulations for other structures. But
 this had no effects on the results" because message latency is
 normalized to the same mean for all node pairs.  We implement several
 classic topologies so that claim can be re-checked (see
-``benchmarks/bench_ablation_topology.py``): each topology exposes the
+``repro-experiment topology --check``): each topology exposes the
 hop count between nodes, and the latency model decides whether hops
 translate into extra delay (non-normalized mode) or not (paper mode).
 """

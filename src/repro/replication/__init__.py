@@ -4,8 +4,8 @@ The paper ends by asking whether replication suffers the same
 non-monolithic conflicts as migration.  This subpackage answers it with
 the same methodology: a write-invalidate replication mechanism, a
 continuum of policies (none / eager / threshold), and a read-write
-workload whose read ratio is swept in
-``benchmarks/bench_outlook_replication.py``.
+workload whose read ratio is swept by
+``repro-experiment replication --check``.
 """
 
 from repro.replication.policies import (

@@ -47,6 +47,10 @@ Verdict = Tuple[int, str, Dict[str, Any], Optional[Tuple[int, int]]]
 #: What every decision returns: the reply and the verdicts to post.
 Decision = Tuple[Dict[str, Any], List[Verdict]]
 
+#: A worker's transfer-id band is cut into this many slices of 10 000
+#: ids, one per incarnation (wrapping after 100 respawns of one node).
+INCARNATION_SLICES = 100
+
 #: The envelope kinds :meth:`Arbiter.serve` answers.
 KINDS = frozenset({MOVE_REQUEST, PLACE, ROLLBACK, END_REQUEST})
 
@@ -83,7 +87,9 @@ class Arbiter:
     node is home for.
 
     ``incarnations`` (node -> current incarnation) is shared with the
-    owner; every grant names the source's.  ``placement`` may be the
+    owner; every grant names the source's.  ``incarnation`` is the
+    owner's own; it picks the slice of the id band this arbiter mints
+    from.  ``placement`` may be the
     owner's own map, which the arbiter then keeps current for the
     objects it is home for.
     """
@@ -98,6 +104,7 @@ class Arbiter:
         journal: Optional[Callable[[str, Dict[str, Any]], Any]] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
         placement: Optional[Dict[int, int]] = None,
+        incarnation: int = 0,
     ):
         self.node_id = node_id
         self.locks = LockManager(clock=clock, lease_duration=lease_duration)
@@ -114,10 +121,15 @@ class Arbiter:
         self.transfers: Dict[int, TransferLogEntry] = {}
         # Homes band their ids by node, so two homes never mint the
         # same id and recovery can attribute any id to the home that
-        # minted it; the supervisor (node -1) mints 1, 2, ...
-        self._transfer_ids = itertools.count(
-            max(node_id, 0) * TRANSFER_BAND + 1
-        )
+        # minted it; the supervisor (node -1) mints 1, 2, ...  Each
+        # worker incarnation mints from its own slice of the band, so a
+        # respawned home never repeats its predecessor's ids.
+        first = 1
+        if node_id >= 0:
+            first += node_id * TRANSFER_BAND + (
+                incarnation % INCARNATION_SLICES
+            ) * (TRANSFER_BAND // INCARNATION_SLICES)
+        self._transfer_ids = itertools.count(first)
         #: While True every grant is denied: a recovering supervisor
         #: must not let migrations race its in-doubt settlement.
         self.frozen = False

@@ -261,6 +261,7 @@ class LiveNodeWorker:
             self.incarnations,
             self.outbox,
             telemetry=self.telemetry,
+            incarnation=incarnation,
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -384,7 +385,13 @@ class LiveNodeWorker:
             self.num_slices = envelope.payload.get(
                 "num_slices", self.num_slices
             )
-            self.incarnations.update(envelope.payload.get("incarnations", {}))
+            # Concurrent restarts each broadcast a map, and an older one
+            # can land last: an incarnation only ever moves forward.
+            for node, incarnation in envelope.payload.get(
+                "incarnations", {}
+            ).items():
+                if incarnation > self.incarnations.get(node, -1):
+                    self.incarnations[node] = incarnation
             self.outbox.fence()
             await self.transport.reply(envelope, {"ok": True})
         elif kind == HOME_STATE:

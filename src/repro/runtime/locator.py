@@ -4,7 +4,7 @@
 forward addressing [JLH+88], broadcast [DLA+91] and immediate update
 [Dec86] — and then *neglects* them: the paper folds location cost into
 the normalized Exp(1) invocation latency.  We implement all four so the
-normalization can be checked (``benchmarks/bench_ablation_locator.py``):
+normalization can be checked (``repro-experiment locator --check``):
 each locator yields the *extra* latency a caller spends learning the
 current location before sending the actual request.
 

@@ -39,3 +39,20 @@ def tiny_stopping() -> StoppingConfig:
         min_batches=3,
         max_observations=4_000,
     )
+
+
+@pytest.fixture
+def bench_stopping():
+    """The 5 %-at-p = 0.95 rule of the ablation checks, by sample cap."""
+
+    def rule(max_observations: int) -> StoppingConfig:
+        return StoppingConfig(
+            relative_precision=0.05,
+            confidence=0.95,
+            batch_size=200,
+            warmup=200,
+            min_batches=5,
+            max_observations=max_observations,
+        )
+
+    return rule

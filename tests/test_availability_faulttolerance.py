@@ -128,3 +128,60 @@ class TestFaultInjectorLateNodes:
         system = DistributedSystem(nodes=2, seed=0)
         injector = FaultInjector(system)
         assert system.migrations.health is injector
+
+
+class TestPoliciesOnAFaultySystem:
+    """The paper's central comparison with the fault layer on.
+
+    Crash cells average three seeds: one run's outcome depends on how
+    many crashed movers happened to hold locks, which is exactly the
+    mechanism under study.  (mttf 150, mttr 50: ~25 % downtime a node.)
+    """
+
+    def crash_cell(self, policy, lease_duration=None):
+        results = [
+            run_faulttolerance_cell(
+                FaultToleranceParameters(
+                    policy=policy,
+                    lease_duration=lease_duration,
+                    mttf=150.0,
+                    mttr=50.0,
+                    seed=seed,
+                )
+            )
+            for seed in (0, 1, 2)
+        ]
+        return {
+            "duration": sum(r.mean_call_duration for r in results) / 3,
+            "throughput": sum(r.throughput for r in results) / 3,
+            "reclaimed": sum(
+                r.locks_expired + r.locks_broken for r in results
+            ),
+        }
+
+    def test_leases_rescue_the_place_policy_under_crashes(self):
+        leased = self.crash_cell("placement", lease_duration=60.0)
+        unleased = self.crash_cell("placement")
+        sedentary = self.crash_cell("sedentary")
+        # Leaked locks starve the plain place-policy; leases reclaim them.
+        assert leased["reclaimed"] > 0
+        assert leased["duration"] < unleased["duration"]
+        assert leased["throughput"] > unleased["throughput"]
+        # With leases, migration still pays off while nodes crash.
+        assert leased["duration"] < sedentary["duration"]
+        assert leased["throughput"] > sedentary["throughput"]
+
+    def test_retries_bound_latency_under_loss(self):
+        base, worst = (
+            run_faulttolerance_cell(
+                FaultToleranceParameters(
+                    policy="placement", lease_duration=60.0, loss=loss, seed=0
+                )
+            )
+            for loss in (0.0, 0.05)
+        )
+        assert worst.retries > 0
+        # At 5 % loss the mean call stays within 2x of the loss-free run,
+        # with essentially no call failing outright (< 0.1 %).
+        assert worst.mean_call_duration < 2.0 * base.mean_call_duration
+        assert worst.failed_calls <= max(1, worst.raw["calls"] // 1000)

@@ -5,8 +5,10 @@ import pytest
 from repro.core.moveblock import MoveBlock
 from repro.core.policies.comparing import ComparingNodes
 from repro.core.policies.reinstantiation import ComparingReinstantiation
+from repro.experiments.figures import FIG14_BASE
 from repro.network.latency import DeterministicLatency
 from repro.runtime.system import DistributedSystem
+from repro.workload.clientserver import ClientServerWorkload
 
 
 @pytest.fixture
@@ -127,3 +129,29 @@ class TestReinstantiationOverhead:
         )
         assert policy.charge_overhead
         assert policy.record_transfer_time == 0.125
+
+
+def test_charged_overhead_erases_dynamic_policy_gains(bench_stopping):
+    """§4.3: "the improvement would be even smaller in real
+    applications".  Charging §3.3's two costs on Fig 14's cells turns
+    the dynamic policies' minor gains into losses against conservative
+    placement at high concurrency (C = 25), where the overhead scales
+    with the number of concurrent users; at low concurrency the effect
+    is within seed noise.
+    """
+    stop = bench_stopping(20_000)
+
+    def run(policy, overhead=False):
+        workload = ClientServerWorkload(
+            FIG14_BASE.with_overrides(policy=policy, clients=25, seed=0),
+            stopping=stop,
+        )
+        if policy != "placement":
+            workload.policy.charge_overhead = overhead
+        return workload.run().mean_communication_time_per_call
+
+    placement = run("placement")
+    for policy in ("comparing", "reinstantiation"):
+        charged = run(policy, overhead=True)
+        assert charged > 1.05 * run(policy)
+        assert charged > placement

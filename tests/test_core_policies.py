@@ -14,9 +14,11 @@ from repro.core.policies.placement import TransientPlacement
 from repro.core.policies.reinstantiation import ComparingReinstantiation
 from repro.core.policies.registry import POLICIES, make_policy
 from repro.core.policies.sedentary import SedentaryPolicy
+from repro.experiments.figures import FIG14_BASE
 from repro.network.latency import DeterministicLatency
 from repro.runtime.system import DistributedSystem
 from repro.sim.trace import Tracer
+from repro.workload.clientserver import ClientServerWorkload
 
 
 @pytest.fixture
@@ -316,3 +318,25 @@ class TestReinstantiation:
         stats = policy.stats()
         assert stats["system_migrations"] == 1
         assert stats["policy"] == "reinstantiation"
+
+
+def test_reinstantiation_margin_calibration(bench_stopping):
+    """§4.3 leaves "clear majority" unquantified.  On a Fig 14 cell at
+    C = 20, a margin of 1 re-migrates so eagerly that transit blocking
+    erases the benefit, and the default margin of 3 lands near the
+    conservative place-policy (the paper's "minor gains" regime)."""
+    stop = bench_stopping(20_000)
+
+    def run(policy, margin=None):
+        workload = ClientServerWorkload(
+            FIG14_BASE.with_overrides(policy=policy, clients=20, seed=0),
+            stopping=stop,
+        )
+        if margin is not None:
+            workload.policy.majority_margin = margin
+        return workload.run().mean_communication_time_per_call
+
+    placement = run("placement")
+    by_margin = {m: run("reinstantiation", m) for m in (1, 3, 5)}
+    assert by_margin[1] >= max(by_margin[3], by_margin[5]) * 0.95
+    assert by_margin[3] == pytest.approx(placement, rel=0.25)

@@ -107,6 +107,7 @@ class TestPublicApi:
         }
 
     def test_figures_registry(self):
+        # The paper's figures and the ablations beside them.
         assert set(repro.FIGURES) == {
             "fig8",
             "fig10",
@@ -114,6 +115,12 @@ class TestPublicApi:
             "fig12",
             "fig14",
             "fig16",
+            "guard",
+            "locator",
+            "nm_ratio",
+            "exclusive",
+            "visit",
+            "topology",
         }
 
     def test_subpackages_importable(self):

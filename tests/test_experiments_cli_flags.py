@@ -165,8 +165,8 @@ class TestCheckFlag:
 
         Under this test module's ultra-loose stopping rule individual
         verdicts can flip, so only the mechanism is asserted here; the
-        claims themselves pass at bench precision (see the benchmark
-        suite and test_integration_paper_shapes).
+        claims themselves pass under ``StoppingConfig.fast()`` (see
+        test_integration_paper_shapes).
         """
         rc = main(["fig8", "--fast", "--check"])
         out = capsys.readouterr().out
@@ -177,3 +177,41 @@ class TestCheckFlag:
         assert len(verdict_lines) == 5
         failures = [l for l in verdict_lines if l.startswith("[FAIL]")]
         assert rc == (1 if failures else 0)
+
+    def test_all_check_reports_every_figure_after_a_failure(
+        self, monkeypatch, capsys
+    ):
+        """One failed claim fails the run at the end, not the loop."""
+        import repro.experiments.cli as cli
+        from repro.experiments.expectations import PAPER_EXPECTATIONS, Claim
+        from repro.experiments.figures import figure10, figure11
+
+        monkeypatch.setattr(
+            cli, "FIGURES", {"fig10": figure10, "fig11": figure11}
+        )
+        monkeypatch.setitem(
+            PAPER_EXPECTATIONS,
+            "fig10",
+            [Claim("always fails", lambda r: (False, "forced"))],
+        )
+        rc = main(["all", "--fast", "--check"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] always fails" in out
+        assert "'without Migration' performs no migrations" in out
+
+    def test_outlook_check_prints_verdicts(self, monkeypatch, capsys):
+        import repro.experiments.cli as cli
+
+        def fake_sweep(seed=0, stopping=None):
+            return ["read_ratio", "none", "eager", "threshold"], [
+                [0.99, 1.75, 0.4, 0.9],
+                [0.5, 1.75, 1.8, 1.8],
+            ]
+
+        monkeypatch.setitem(cli.OUTLOOK_STUDIES, "replication", fake_sweep)
+        rc = main(["replication", "--check"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "outlook:replication" in out
+        assert out.count("[PASS]") == 4 and out.count("[FAIL]") == 1

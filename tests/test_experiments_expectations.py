@@ -11,6 +11,8 @@ from repro.experiments.expectations import (
     flat,
     format_verdicts,
     increases_with_x,
+    later_break_even,
+    tracks,
     value_at,
     verify_expectations,
 )
@@ -72,6 +74,54 @@ class TestClaimConstructors:
             "without Migration", 25.0, 5.0, tolerance=0.05
         ).evaluate(fig12ish).passed
 
+    def test_dominates_at_one_point(self, fig12ish):
+        # Migration beats placement nowhere but is < 3x it at x=6.
+        assert dominates(
+            "Migration", "Transient Placement", slack=1.5, at=6.0
+        ).evaluate(fig12ish).passed
+        assert not dominates(
+            "Migration", "Transient Placement", slack=1.5, at=25.0
+        ).evaluate(fig12ish).passed
+
+    def test_dominates_counts_two_near_zero_values_as_equal(self):
+        # Fig 16 at C=1 under --fast: both curves are ~0, and the
+        # ratio of the two is noise over noise.
+        result = fake_result(
+            {"a": [0.0016, 2.0], "b": [0.0003, 2.5]}, x_values=(1.0, 12.0)
+        )
+        assert dominates("a", "b", slack=1.1).evaluate(result).passed
+
+    def test_dominates_still_fails_above_the_floor(self):
+        above = fake_result(
+            {"a": [0.5, 2.0], "b": [0.1, 2.5]}, x_values=(1.0, 12.0)
+        )
+        assert not dominates("a", "b", slack=1.1).evaluate(above).passed
+        # One value under the floor is raised to it, not forgiven.
+        straddle = fake_result(
+            {"a": [0.05, 2.0], "b": [0.0003, 2.5]}, x_values=(1.0, 12.0)
+        )
+        assert not dominates("a", "b", slack=1.1).evaluate(straddle).passed
+
+    def test_tracks(self, fig12ish):
+        assert tracks(
+            "Transient Placement", "without Migration", 0.6
+        ).evaluate(fig12ish).passed
+        assert not tracks(
+            "Transient Placement", "without Migration", 0.1
+        ).evaluate(fig12ish).passed
+        # Points whose baseline is under ``above`` are skipped.
+        assert tracks(
+            "Transient Placement", "without Migration", 0.2, above=1.5
+        ).evaluate(fig12ish).passed
+
+    def test_later_break_even(self, fig12ish):
+        args = ("Transient Placement", "without Migration")
+        base = ("Migration", "without Migration")
+        assert later_break_even(*args, *base, factor=2.0).evaluate(
+            fig12ish
+        ).passed
+        assert not later_break_even(*base, *args).evaluate(fig12ish).passed
+
     def test_claim_error_becomes_failure(self, fig12ish):
         broken = Claim("broken", lambda r: r.series("nope"))
         verdict = broken.evaluate(fig12ish)
@@ -101,5 +151,21 @@ class TestVerification:
 
     def test_registry_covers_every_figure(self):
         from repro.experiments.figures import FIGURES
+        from repro.experiments.outlook import OUTLOOK_STUDIES
 
-        assert set(PAPER_EXPECTATIONS) == set(FIGURES)
+        assert set(FIGURES) <= set(PAPER_EXPECTATIONS)
+        assert set(PAPER_EXPECTATIONS) <= set(FIGURES) | set(OUTLOOK_STUDIES)
+
+    def test_outlook_rows_are_checked_by_the_same_claims(self):
+        from repro.experiments.outlook import OutlookTable
+
+        table = OutlookTable(
+            "replication",
+            ["read_ratio", "none", "eager", "threshold"],
+            [[0.99, 1.75, 0.4, 0.9], [0.5, 1.75, 3.3, 1.8]],
+        )
+        verdicts = verify_expectations(table)
+        assert len(verdicts) == len(PAPER_EXPECTATIONS["replication"])
+        assert all(v.passed for v in verdicts), [str(v) for v in verdicts]
+        table.rows[1][2] = 1.9  # eager no longer thrashes
+        assert not all(v.passed for v in verify_expectations(table))

@@ -42,9 +42,10 @@ from repro.runtime.live import wal as wal_module
 from repro.runtime.live.demo import run_supervised
 from repro.runtime.live.supervisor import NodeSupervisor, SupervisorConfig
 from repro.runtime.live.node import LiveNodeWorker
-from repro.runtime.live.wal import ArbitrationWal
+from repro.runtime.live.wal import TRANSFER_BAND, ArbitrationWal
 from repro.runtime.live.wire import (
     EVICT,
+    HOME_MAP,
     MOVE_REQUEST,
     PLACE,
     PLACE_NOTICE,
@@ -745,3 +746,36 @@ class TestChaosScheduleSurgery:
     def test_config_rejects_unknown_arbitration(self):
         with pytest.raises(ValueError, match="arbitration"):
             SupervisorConfig(arbitration="quorum").validate()
+
+
+class TestHomeIdentity:
+    """What a home knows about incarnations, and the ids it mints."""
+
+    def test_late_stale_home_map_cannot_lower_an_incarnation(self, tmp_path):
+        # Two restarts of node 2 each broadcast a map; the older one
+        # lands last and must not send node 2 back to incarnation 1.
+        _, workers, _ = fleet(tmp_path, "home", lambda dst, kind: None)
+        home = workers[1]
+        for incarnations in ({2: 2}, {2: 1}):
+            asyncio.run(
+                home.handle(
+                    Envelope(HOME_MAP, SUPERVISOR, 1, (SUPERVISOR, 1), {
+                        "map": {0: 1}, "incarnations": incarnations,
+                    })
+                )
+            )
+        assert home.incarnations[2] == 2
+
+    def test_respawned_home_never_remints_its_predecessors_ids(self):
+        def first_transfer_id(incarnation):
+            home = LiveNodeWorker(
+                2, ("unix", "unused"), {}, [], incarnation=incarnation
+            )
+            home.arbiter.assign({0: 2})
+            reply, _ = home.arbiter.grant(1, 0)
+            return reply["transfer_id"]
+
+        ids = [first_transfer_id(incarnation) for incarnation in (0, 1, 2)]
+        assert len(set(ids)) == 3
+        # Recovery still attributes every id to the home that minted it.
+        assert [tid // TRANSFER_BAND for tid in ids] == [2, 2, 2]

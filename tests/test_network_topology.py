@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.experiments.figures import FIG12_BASE
+from repro.network.latency import PerHopExponentialLatency
 from repro.network.topology import (
     TOPOLOGIES,
     FullyConnected,
@@ -12,6 +14,7 @@ from repro.network.topology import (
     Topology,
     make_topology,
 )
+from repro.workload.clientserver import ClientServerWorkload
 
 
 class TestFullyConnected:
@@ -128,3 +131,26 @@ class TestGenericMachinery:
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError, match="unknown topology"):
             make_topology("torus", 4)
+
+
+def test_per_hop_latency_makes_topology_matter(bench_stopping):
+    """§4.1's "other structures had no effects" (the ``topology``
+    ablation) is a property of its normalized latency: with per-hop
+    latency a 27-node ring (mean distance ~7 hops) is clearly slower
+    than a fully connected network on a sedentary Fig 12 cell."""
+    stop = bench_stopping(25_000)
+
+    def run(topology):
+        workload = ClientServerWorkload(
+            FIG12_BASE.with_overrides(
+                policy="sedentary", clients=10, topology=topology, seed=0
+            ),
+            stopping=stop,
+        )
+        network = workload.system.network
+        network.latency = PerHopExponentialLatency(
+            network.topology, mean_per_hop=1.0
+        )
+        return workload.run().mean_communication_time_per_call
+
+    assert run("ring") > 2.0 * run("full")
