@@ -141,20 +141,14 @@ bench-suite:
 	$(PYTHON) benchmarks/suite/run.py --smoke
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite/tests
 
-# Every claim in PAPER_EXPECTATIONS: each figure and ablation on its
-# thinned grid (2 workers), then each outlook study that states claims.
-# Exits non-zero if any claim fails; every verdict is printed first.
-CLAIMS_OUTLOOKS = $(shell PYTHONPATH=src $(PYTHON) -c "from repro.experiments.expectations import PAPER_EXPECTATIONS as E; from repro.experiments.outlook import OUTLOOK_STUDIES as O; print(*sorted(set(E) & set(O)))")
+# Every claim in PAPER_EXPECTATIONS: each figure, ablation and outlook
+# study on its thinned grid (2 workers).  Exits non-zero if any claim
+# fails; every verdict is printed first.
 claims:
-	@status=0; \
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli all --fast --check \
-	  --workers 2 || status=1; \
-	for study in $(CLAIMS_OUTLOOKS); do \
-	  PYTHONPATH=src $(PYTHON) -m repro.experiments.cli $$study --fast \
-	    --check || status=1; \
-	done; exit $$status
+	  --workers 2
 
-# Regenerate every figure and ablation table on every core.
+# Regenerate every figure, ablation and outlook table on every core.
 figures:
 	repro-experiment all --workers auto
 

@@ -15,7 +15,8 @@ A bounded threshold policy plays the place-policy's role.
 Run:  python examples/replication_outlook.py
 """
 
-from repro.replication import ReplicationParameters, run_replication_cell
+from repro.experiments.figures import make_figure
+from repro.experiments.runner import run_figure
 from repro.sim.stopping import StoppingConfig
 
 STOPPING = StoppingConfig(
@@ -27,29 +28,22 @@ STOPPING = StoppingConfig(
     max_observations=20_000,
 )
 
-READ_RATIOS = (0.99, 0.95, 0.9, 0.8, 0.7, 0.5)
-POLICIES = ("none", "eager", "threshold")
-
 
 def main() -> None:
+    # The same sweep as `repro-experiment replication`, on a tighter
+    # stopping rule: read ratios 0.99 .. 0.5, policies none / eager /
+    # threshold.
+    result = run_figure(make_figure("replication"), stopping=STOPPING)
+    curves = {policy: result.series(policy) for policy in result.labels}
+
     print("replication in a non-monolithic system (D=12, C=8, 3 objects)")
     print("mean operation time by read ratio (lower is better):\n")
 
-    header = f"{'read ratio':>10}" + "".join(f"{p:>12}" for p in POLICIES)
+    header = f"{'read ratio':>10}" + "".join(f"{p:>12}" for p in curves)
     print(header)
     print("-" * len(header))
-
-    curves = {p: [] for p in POLICIES}
-    for rr in READ_RATIOS:
-        row = [f"{rr:>10.2f}"]
-        for policy in POLICIES:
-            result = run_replication_cell(
-                ReplicationParameters(policy=policy, read_ratio=rr, seed=0),
-                stopping=STOPPING,
-            )
-            curves[policy].append(result.mean_op_time)
-            row.append(f"{result.mean_op_time:>12.3f}")
-        print("".join(row))
+    for i, rr in enumerate(result.x_values):
+        print(f"{rr:>10.2f}" + "".join(f"{c[i]:>12.3f}" for c in curves.values()))
 
     print("\nfindings:")
     speedup = curves["none"][0] / curves["eager"][0]

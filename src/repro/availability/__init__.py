@@ -38,22 +38,17 @@ __getattr__, __dir__ = lazy_exports(
             "FT_DETECTION_MODES",
             "FT_POLICIES",
             "FaultToleranceParameters",
-            "FaultToleranceResult",
             "FaultToleranceWorkload",
-            "run_faulttolerance_cell",
         ),
         ".workload": (
             "AvailabilityParameters",
-            "AvailabilityResult",
             "AvailabilityWorkload",
-            "run_availability_cell",
         ),
     },
 )
 
 __all__ = [
     "AvailabilityParameters",
-    "AvailabilityResult",
     "AvailabilityWorkload",
     "ChaosCampaign",
     "ChaosCampaignParameters",
@@ -67,7 +62,6 @@ __all__ = [
     "FT_POLICIES",
     "FaultInjector",
     "FaultToleranceParameters",
-    "FaultToleranceResult",
     "FaultToleranceWorkload",
     "FlappingLink",
     "LiveChaosSchedule",
@@ -77,7 +71,5 @@ __all__ = [
     "RollingPartition",
     "SCENARIOS",
     "demo_schedule",
-    "run_availability_cell",
     "run_chaos_campaign",
-    "run_faulttolerance_cell",
 ]

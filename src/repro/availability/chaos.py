@@ -43,7 +43,6 @@ from typing import Dict, Generator, List, Optional, Tuple, Union
 
 from repro.availability.faulttolerance import (
     FaultToleranceParameters,
-    FaultToleranceResult,
     FaultToleranceWorkload,
 )
 from repro.errors import (
@@ -57,6 +56,7 @@ from repro.sim.monitor import InvariantMonitor
 from repro.sim.rng import Stream
 from repro.sim.trace import RingTracer
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
+from repro.workload.clientserver import WorkloadResult
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,7 @@ class ChaosCampaignResult:
 
     params: ChaosCampaignParameters
     #: The standard fault-tolerance metrics of the underlying cell.
-    ft: FaultToleranceResult
+    ft: WorkloadResult
     #: Injection counters from the orchestrator.
     injections: Dict[str, int]
     #: Invariant evaluation rounds performed.

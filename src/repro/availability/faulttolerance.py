@@ -27,8 +27,8 @@ exists (M = 6, N = 6 calls per block).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from dataclasses import dataclass
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.availability.faults import FaultInjector
 from repro.core.locking import LeaseSweeper, LockManager
@@ -47,8 +47,10 @@ from repro.runtime.failure import FailureDetector
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.system import DistributedSystem
 from repro.sim.stats import RunningStats
+from repro.sim.stopping import StoppingConfig
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
+from repro.workload.clientserver import CellWorkload, WorkloadResult
 
 #: Policies the study compares (registry names as in the paper study).
 FT_POLICIES = ("sedentary", "migration", "placement")
@@ -147,42 +149,22 @@ class FaultToleranceParameters:
         if self.sim_time <= 0:
             raise ConfigurationError("sim_time must be positive")
 
-
-@dataclass
-class FaultToleranceResult:
-    """Outcome of one fault-tolerance cell."""
-
-    params: FaultToleranceParameters
-    #: §4.2.1 metric: per-call duration with amortized migration cost.
-    mean_call_duration: float
-    #: Completed calls per unit of simulated time.
-    throughput: float
-    completed_blocks: int
-    abandoned_blocks: int
-    #: Calls that exhausted their retry budget.
-    failed_calls: int
-    retries: int
-    timeouts: int
-    migrations_aborted: int
-    locks_expired: int
-    locks_broken: int
-    node_failures: int
-    #: Suspicion transitions of the heartbeat detector (0 with oracle).
-    suspicions: int = 0
-    #: Suspicions of nodes that were actually up (0 with oracle).
-    false_suspicions: int = 0
-    #: Calls abandoned early because the callee was suspected dead.
-    failovers: int = 0
-    raw: Dict = field(default_factory=dict)
+    @property
+    def workload(self) -> type:
+        """The workload class that simulates this cell."""
+        return FaultToleranceWorkload
 
 
-class FaultToleranceWorkload:
+class FaultToleranceWorkload(CellWorkload):
     """Builds and runs one fault-tolerance cell.
 
     ``telemetry`` (default NULL) threads a
     :class:`~repro.telemetry.core.Telemetry` sink through the whole
     stack — network, invocations, migrations, locks — and starts the
-    kernel sampler alongside the clients.
+    kernel sampler alongside the clients.  The cell runs a fixed
+    horizon, so ``stopping`` is accepted for :func:`run_cell` and
+    unused: a degraded cell must not end early just because it
+    produces few observations.
     """
 
     def __init__(
@@ -190,24 +172,10 @@ class FaultToleranceWorkload:
         params: FaultToleranceParameters,
         tracer: Tracer = NULL_TRACER,
         telemetry: Telemetry = NULL_TELEMETRY,
+        stopping: Optional[StoppingConfig] = None,
     ):
-        params.validate()
-        self.params = params
         self.telemetry = telemetry
-        fault_model = (
-            LinkFaultModel(loss_probability=params.loss)
-            if params.loss > 0
-            else None
-        )
-        self.system = DistributedSystem(
-            nodes=params.nodes,
-            seed=params.seed,
-            migration_duration=params.migration_duration,
-            fault_model=fault_model,
-            retry=params.retry,
-            tracer=tracer,
-            telemetry=telemetry,
-        )
+        super().__init__(params, tracer=tracer)
         # Servers round-robin from the far end of the node range so most
         # clients (which sit at the low end) start remote from them.
         self.servers = [
@@ -262,7 +230,22 @@ class FaultToleranceWorkload:
         self.failed_calls = 0
         self.failed_over_calls = 0
         self.lost_move_requests = 0
-        self._started = False
+
+    def _build_system(self, params, tracer) -> DistributedSystem:
+        fault_model = (
+            LinkFaultModel(loss_probability=params.loss)
+            if params.loss > 0
+            else None
+        )
+        return DistributedSystem(
+            nodes=params.nodes,
+            seed=params.seed,
+            migration_duration=params.migration_duration,
+            fault_model=fault_model,
+            retry=params.retry,
+            tracer=tracer,
+            telemetry=self.telemetry,
+        )
 
     # -- helpers --------------------------------------------------------------
 
@@ -348,11 +331,7 @@ class FaultToleranceWorkload:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self) -> None:
-        """Launch fault injection, sweeping and every client (idempotent)."""
-        if self._started:
-            return
-        self._started = True
+    def _start_services(self) -> None:
         if self.telemetry.enabled:
             # Safe here: the workload always runs to a fixed horizon,
             # so the self-rescheduling sampler cannot keep it alive.
@@ -363,58 +342,52 @@ class FaultToleranceWorkload:
             self.detector.start()
         if self.sweeper is not None:
             self.sweeper.start()
-        for i in range(self.params.clients):
-            self.system.env.process(
-                self.client_process(i), name=f"ft-client-{i}"
-            )
 
-    def collect_result(self) -> FaultToleranceResult:
-        """Assemble the metrics from the current simulation state.
+    def measure(self) -> Tuple[Dict[str, float], Dict]:
+        """The §4.2.1 call duration, throughput and the fault counters.
 
-        Split out of :meth:`run` so harnesses that drive the clock
-        themselves (chaos campaigns interleaving scripted faults and
-        invariant checks) can still produce the standard result record.
+        :meth:`collect_result` may be called at any time, so harnesses
+        that drive the clock themselves (chaos campaigns interleaving
+        scripted faults and invariant checks) get the same result.
         """
         invocations = self.system.invocations
         migrations = self.system.migrations
         detector = self.detector
-        return FaultToleranceResult(
-            params=self.params,
-            mean_call_duration=(
+        metrics = {
+            # §4.2.1 metric: per-call duration with amortized migration.
+            "mean_call_duration": (
                 self.call_durations.mean if self.call_durations.count else 0.0
             ),
-            throughput=self.call_durations.count / self.params.sim_time,
-            completed_blocks=self.completed_blocks,
-            abandoned_blocks=self.abandoned_blocks,
-            failed_calls=self.failed_calls,
-            retries=invocations.retries,
-            timeouts=invocations.timeouts,
-            migrations_aborted=migrations.migrations_aborted,
-            locks_expired=self.locks.leases_expired if self.locks else 0,
-            locks_broken=self.locks.leases_broken if self.locks else 0,
-            node_failures=self.faults.failures if self.faults else 0,
-            suspicions=detector.suspicions if detector else 0,
-            false_suspicions=detector.false_suspicions if detector else 0,
-            failovers=self.failed_over_calls,
-            raw={
-                "calls": self.call_durations.count,
-                "lost_move_requests": self.lost_move_requests,
-                "invocations": invocations.stats(),
-                "policy": self.policy.stats(),
-                "dropped_messages": self.system.network.dropped_messages,
-                "detector": detector.stats() if detector else {},
-            },
-        )
+            # Completed calls per unit of simulated time.
+            "throughput": self.call_durations.count / self.params.sim_time,
+            "completed_blocks": self.completed_blocks,
+            "abandoned_blocks": self.abandoned_blocks,
+            # Calls that exhausted their retry budget.
+            "failed_calls": self.failed_calls,
+            "retries": invocations.retries,
+            "timeouts": invocations.timeouts,
+            "migrations_aborted": migrations.migrations_aborted,
+            "locks_expired": self.locks.leases_expired if self.locks else 0,
+            "locks_broken": self.locks.leases_broken if self.locks else 0,
+            "node_failures": self.faults.failures if self.faults else 0,
+            # Heartbeat-detector suspicions, and those of nodes that
+            # were up (both 0 with the oracle).
+            "suspicions": detector.suspicions if detector else 0,
+            "false_suspicions": detector.false_suspicions if detector else 0,
+            # Calls abandoned early because the callee was suspected.
+            "failovers": self.failed_over_calls,
+        }
+        return metrics, {
+            "calls": self.call_durations.count,
+            "lost_move_requests": self.lost_move_requests,
+            "invocations": invocations.stats(),
+            "policy": self.policy.stats(),
+            "dropped_messages": self.system.network.dropped_messages,
+            "detector": detector.stats() if detector else {},
+        }
 
-    def run(self) -> FaultToleranceResult:
+    def run(self) -> WorkloadResult:
         """Simulate the fixed horizon and return the metrics."""
         self.start()
         self.system.run(until=self.params.sim_time)
         return self.collect_result()
-
-
-def run_faulttolerance_cell(
-    params: FaultToleranceParameters,
-) -> FaultToleranceResult:
-    """Convenience one-shot wrapper."""
-    return FaultToleranceWorkload(params).run()

@@ -32,15 +32,14 @@ the same lesson the migration study teaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.availability.faults import FaultInjector
 from repro.errors import ConfigurationError
 from repro.runtime.objects import DistributedObject
-from repro.runtime.system import DistributedSystem
 from repro.sim.stats import RunningStats
-from repro.sim.stopping import PrecisionStopping, StoppingConfig
+from repro.workload.clientserver import CellWorkload
 
 
 @dataclass(frozen=True)
@@ -86,32 +85,20 @@ class AvailabilityParameters:
         if not 0.0 <= self.group_op_fraction <= 1.0:
             raise ConfigurationError("group_op_fraction must be in [0, 1]")
 
-
-@dataclass
-class AvailabilityResult:
-    """Outcome of one availability cell."""
-
-    params: AvailabilityParameters
-    mean_op_time: float
-    mean_blocked_time: float
-    failures: int
-    raw: Dict = field(default_factory=dict)
+    @property
+    def workload(self) -> type:
+        """The workload class that simulates this cell."""
+        return AvailabilityWorkload
 
 
-class AvailabilityWorkload:
+class AvailabilityWorkload(CellWorkload):
     """Builds and runs one availability-study cell."""
 
     CHUNK = 5_000.0
     MAX_TIME = 3_000_000.0
 
-    def __init__(
-        self,
-        params: AvailabilityParameters,
-        stopping: Optional[StoppingConfig] = None,
-    ):
-        params.validate()
-        self.params = params
-        self.system = DistributedSystem(nodes=params.nodes, seed=params.seed)
+    def __init__(self, params: AvailabilityParameters, **kwargs):
+        super().__init__(params, **kwargs)
         self.group: List[DistributedObject] = [
             self.system.create_server(
                 node=self._member_node(i), name=f"member-{i}"
@@ -124,8 +111,6 @@ class AvailabilityWorkload:
         self.op_times = RunningStats()
         self.blocked_times = RunningStats()
         self._chain_blocked = 0.0
-        self.stopping = PrecisionStopping(stopping or StoppingConfig())
-        self._started = False
 
     def _member_node(self, index: int) -> int:
         if self.params.placement == "collocated":
@@ -204,43 +189,20 @@ class AvailabilityWorkload:
             self.blocked_times.add(blocked)
             self.stopping.add(elapsed)
 
-    def start(self) -> None:
-        """Launch fault injection and every client process (idempotent)."""
-        if self._started:
-            return
-        self._started = True
+    def _start_services(self) -> None:
         if self.params.faults_enabled:
             self.faults.start()
-        for i in range(self.params.clients):
-            self.system.env.process(
-                self.client_process(i), name=f"avail-client-{i}"
-            )
 
-    def run(self) -> AvailabilityResult:
-        """Simulate until the stopping rule fires; return the metrics."""
-        self.start()
-        env = self.system.env
-        while True:
-            env.run(until=env.now + self.CHUNK)
-            if self.stopping.should_stop() or env.now >= self.MAX_TIME:
-                break
-        return AvailabilityResult(
-            params=self.params,
-            mean_op_time=self.op_times.mean if self.op_times.count else 0.0,
-            mean_blocked_time=(
+    def measure(self) -> Tuple[Dict[str, float], Dict]:
+        """Mean operation and blocked time, and the failure count."""
+        metrics = {
+            "mean_op_time": self.op_times.mean if self.op_times.count else 0.0,
+            "mean_blocked_time": (
                 self.blocked_times.mean if self.blocked_times.count else 0.0
             ),
-            failures=self.faults.failures,
-            raw={
-                "operations": self.op_times.count,
-                "stopping": self.stopping.summary(),
-            },
-        )
-
-
-def run_availability_cell(
-    params: AvailabilityParameters,
-    stopping: Optional[StoppingConfig] = None,
-) -> AvailabilityResult:
-    """Convenience one-shot wrapper."""
-    return AvailabilityWorkload(params, stopping=stopping).run()
+            "failures": self.faults.failures,
+        }
+        return metrics, {
+            "operations": self.op_times.count,
+            "stopping": self.stopping.summary(),
+        }

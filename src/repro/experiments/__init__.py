@@ -30,7 +30,6 @@ from repro.experiments.markdown import (
     to_markdown_section,
     to_markdown_table,
 )
-from repro.experiments.outlook import OUTLOOK_STUDIES, run_outlook
 from repro.experiments.persistence import load_result, save_result
 from repro.experiments.replications import ReplicatedResult, run_replicated
 from repro.experiments.plot import render_plot
@@ -52,7 +51,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "FIGURES",
-    "OUTLOOK_STUDIES",
     "PAPER_EXPECTATIONS",
     "ParallelExecutor",
     "ReplicatedResult",
@@ -73,7 +71,6 @@ __all__ = [
     "make_figure",
     "render_plot",
     "run_figure",
-    "run_outlook",
     "run_replicated",
     "save_result",
     "summary_lines",

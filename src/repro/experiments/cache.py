@@ -2,17 +2,19 @@
 
 Paper-precision cells take minutes each, yet a cell's outcome is a pure
 function of its inputs: the kernel is deterministic, every random draw
-derives from ``SimulationParameters.seed``, and the stopping rule is
+derives from the parameter cell's ``seed``, and the stopping rule is
 part of the configuration.  This module exploits that purity.  A cell's
 cache key is the SHA-256 of the canonical JSON encoding of
 
-``(SimulationParameters, StoppingConfig, FORMAT_VERSION, repro version)``
+``(parameter class, parameters, StoppingConfig, FORMAT_VERSION,
+repro version)``
 
 so any change to a parameter, the stopping rule, the persistence format
 or the installed release addresses a different entry — stale hits are
 structurally impossible without manual tampering.  Values are
 serialized :class:`~repro.workload.clientserver.WorkloadResult`
-documents (one JSON file per cell, reusing the persistence codecs).
+documents (one JSON file per cell, in the persistence codec), for the
+figures' cells and the outlook studies' alike.
 
 The cache directory resolves, in order, to an explicit ``root``
 argument, the ``REPRO_CACHE_DIR`` environment variable, and finally
@@ -32,12 +34,13 @@ from typing import Optional, Union
 from repro._version import __version__
 from repro.experiments.persistence import (
     FORMAT_VERSION,
-    params_from_dict,
+    cell_from_dict,
+    cell_to_dict,
     params_to_dict,
+    params_type,
 )
 from repro.sim.stopping import StoppingConfig
 from repro.workload.clientserver import WorkloadResult
-from repro.workload.params import SimulationParameters
 
 #: Environment variable overriding the default cache location.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -57,9 +60,7 @@ def resolve_cache_dir(root: Union[str, Path, None] = None) -> Path:
     return Path(DEFAULT_CACHE_DIR).expanduser()
 
 
-def cell_key(
-    params: SimulationParameters, stopping: Optional[StoppingConfig] = None
-) -> str:
+def cell_key(params, stopping: Optional[StoppingConfig] = None) -> str:
     """Content address of one cell (hex SHA-256).
 
     Canonical JSON (sorted keys, no whitespace) over the full parameter
@@ -70,6 +71,7 @@ def cell_key(
     payload = {
         "format_version": FORMAT_VERSION,
         "version": __version__,
+        "params_type": params_type(params),
         "params": params_to_dict(params),
         "stopping": None if stopping is None else asdict(stopping),
     }
@@ -94,17 +96,13 @@ class CellCache:
         self.writes = 0
 
     def path_for(
-        self,
-        params: SimulationParameters,
-        stopping: Optional[StoppingConfig] = None,
+        self, params, stopping: Optional[StoppingConfig] = None
     ) -> Path:
         """The file a cell's result lives in (whether or not it exists)."""
         return self.root / f"{cell_key(params, stopping)}.json"
 
     def get(
-        self,
-        params: SimulationParameters,
-        stopping: Optional[StoppingConfig] = None,
+        self, params, stopping: Optional[StoppingConfig] = None
     ) -> Optional[WorkloadResult]:
         """The cached result for a cell, or ``None`` on a miss.
 
@@ -118,20 +116,11 @@ class CellCache:
             self.misses += 1
             return None
         self.hits += 1
-        return WorkloadResult(
-            params=params_from_dict(data["params"]),
-            mean_communication_time_per_call=data[
-                "mean_communication_time_per_call"
-            ],
-            mean_call_duration=data["mean_call_duration"],
-            mean_migration_time_per_call=data["mean_migration_time_per_call"],
-            simulated_time=data["simulated_time"],
-            raw=data.get("raw", {}),
-        )
+        return cell_from_dict(data, params)
 
     def put(
         self,
-        params: SimulationParameters,
+        params,
         stopping: Optional[StoppingConfig],
         result: WorkloadResult,
     ) -> Path:
@@ -141,14 +130,7 @@ class CellCache:
         document = {
             "format_version": FORMAT_VERSION,
             "version": __version__,
-            "params": params_to_dict(result.params),
-            "mean_communication_time_per_call": (
-                result.mean_communication_time_per_call
-            ),
-            "mean_call_duration": result.mean_call_duration,
-            "mean_migration_time_per_call": result.mean_migration_time_per_call,
-            "simulated_time": result.simulated_time,
-            "raw": result.raw,
+            **cell_to_dict(result),
         }
         # Write-then-rename so concurrent readers never see a torn file.
         tmp = path.with_suffix(f".tmp.{os.getpid()}")

@@ -17,11 +17,7 @@ from typing import List, Optional
 from repro.experiments.executor import ParallelExecutor, resolve_workers
 from repro.experiments.expectations import format_verdicts, verify_expectations
 from repro.experiments.figures import FIGURES, make_figure
-from repro.experiments.outlook import (
-    OUTLOOK_STUDIES,
-    OutlookTable,
-    format_outlook_table,
-)
+from repro.experiments.outlook import format_outlook_table
 from repro.experiments.report import format_table, to_csv
 from repro.experiments.runner import run_figure
 from repro.sim.stopping import StoppingConfig
@@ -47,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "figure",
         choices=sorted(FIGURES)
-        + sorted(OUTLOOK_STUDIES)
-        + ["all", "telemetry", "live"],
+        + ["chaos", "deploy", "all", "telemetry", "live"],
         help=(
             "which figure to regenerate (figN), one of the ablations "
             "(guard / locator / nm_ratio / exclusive / visit / topology), "
@@ -406,15 +401,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.figure == "telemetry" or args.telemetry is not None:
         return _run_telemetry(args)
 
-    if args.figure == "chaos" and args.scenario is not None:
+    if args.figure == "chaos":
         from repro.experiments.outlook import chaos_sweep
 
-        print(
-            f"running chaos scenario {args.scenario!r}", file=sys.stderr
-        )
-        header, rows = chaos_sweep(
-            seed=args.seed, scenarios=[args.scenario]
-        )
+        scenarios = None if args.scenario is None else [args.scenario]
+        print(f"running chaos scenarios (seed {args.seed})", file=sys.stderr)
+        header, rows = chaos_sweep(seed=args.seed, scenarios=scenarios)
         print(format_outlook_table("chaos", header, rows))
         return 0
 
@@ -440,19 +432,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.markdown, "w") as fh:
                 fh.write(deploy_report_markdown(results))
             print(f"wrote {args.markdown}", file=sys.stderr)
-        return 0
-
-    if args.figure in OUTLOOK_STUDIES:
-        print(
-            f"running outlook study {args.figure!r}", file=sys.stderr
-        )
-        header, rows = OUTLOOK_STUDIES[args.figure](
-            seed=args.seed, stopping=stopping
-        )
-        print(format_outlook_table(args.figure, header, rows))
-        if args.check:
-            print()
-            return 0 if _check(OutlookTable(args.figure, header, rows)) else 1
         return 0
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]

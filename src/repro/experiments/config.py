@@ -1,21 +1,21 @@
 """Experiment definitions: sweeps of parameter cells.
 
-An experiment (one figure of the paper) is a set of *series* (curves)
-evaluated over common x-values.  Each series maps an x-value to a fully
-specified :class:`~repro.workload.params.SimulationParameters` cell via
-its ``cell`` factory, which keeps definitions declarative and the
-runner generic.
+An experiment (one figure of the paper, an ablation or an outlook
+study) is a set of *series* (curves) evaluated over common x-values.
+Each series maps an x-value to a fully specified parameter cell via its
+``cell`` factory: a frozen parameter dataclass whose ``workload``
+property names the workload that simulates it
+(:class:`~repro.workload.params.SimulationParameters` for the paper's
+figures).  That keeps definitions declarative and the runner generic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
-
-from repro.workload.params import SimulationParameters
+from dataclasses import dataclass
+from typing import Any, Callable, List, Tuple
 
 #: Maps an x-value to the parameter cell to simulate.
-CellFactory = Callable[[float], SimulationParameters]
+CellFactory = Callable[[float], Any]
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,12 @@ class ExperimentDef:
     x_values: Tuple[float, ...]
     #: The curves.
     series: Tuple[SeriesDef, ...]
-    #: Which WorkloadResult attribute the figure plots.
+    #: Which of the cells' named metrics the figure plots.
     metric: str = "mean_communication_time_per_call"
     #: Free-form notes (shape expectations, paper anchors).
     notes: str = ""
 
-    def cells(self) -> List[Tuple[str, float, SimulationParameters]]:
+    def cells(self) -> List[Tuple[str, float, Any]]:
         """Flatten to (label, x, params) triples, series-major."""
         out = []
         for s in self.series:

@@ -18,6 +18,9 @@ they now share:
   ``cells_executed`` counters make "the warm re-run simulated nothing"
   a checkable property.
 
+A cell is any parameter dataclass that names its workload — a
+figure's, an ablation's or an outlook study's — and every cell runs
+through :func:`~repro.workload.clientserver.run_cell`.
 Results are always full
 :class:`~repro.workload.clientserver.WorkloadResult` objects in job
 order; callers extract whatever metric they need.
@@ -29,14 +32,13 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.stopping import StoppingConfig
 from repro.workload.clientserver import WorkloadResult, run_cell
-from repro.workload.params import SimulationParameters
 
 #: One unit of work: a parameter cell and its stopping rule.
-CellJob = Tuple[SimulationParameters, Optional[StoppingConfig]]
+CellJob = Tuple[Any, Optional[StoppingConfig]]
 
 #: Worker-count spelling accepted throughout the experiment layer.
 Workers = Union[int, str]
@@ -178,9 +180,7 @@ class ParallelExecutor:
         return results  # type: ignore[return-value]
 
     def run_one(
-        self,
-        params: SimulationParameters,
-        stopping: Optional[StoppingConfig] = None,
+        self, params, stopping: Optional[StoppingConfig] = None
     ) -> WorkloadResult:
         """Convenience wrapper for a single cell."""
         return self.run_cells([(params, stopping)])[0]

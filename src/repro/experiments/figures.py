@@ -1,13 +1,16 @@
-"""Per-figure experiment definitions (§4's evaluation) and ablations.
+"""Per-figure experiment definitions (§4's evaluation), ablations and
+outlook studies.
 
 Each factory in :data:`FIGURES` returns the :class:`~repro.experiments.
 config.ExperimentDef` that regenerates one figure of the paper, with the
-exact parameter tables printed next to the figures (Figs 9, 13, 15, 17),
-or one ablation: a short grid of cells around a figure's base that
-checks something the paper mentions, neglects or normalizes away.
+exact parameter tables printed next to the figures (Figs 9, 13, 15, 17);
+one ablation: a short grid of cells around a figure's base that checks
+something the paper mentions, neglects or normalizes away; or one
+outlook study (§2.2, §5), whose cells are another workload's parameters.
 
 ``fast=True`` thins the figures' sweeps for smoke tests and CI; the full
-grids are what EXPERIMENTS.md reports.
+grids are what EXPERIMENTS.md reports.  The outlook sweeps are already
+short and ignore it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Tuple, Union
 
+from repro.availability.faulttolerance import FaultToleranceParameters
+from repro.availability.workload import AvailabilityParameters
 from repro.core.attachment import AttachmentMode
 from repro.experiments.config import ExperimentDef, SeriesDef
+from repro.fragmentation.workload import FragmentationParameters
+from repro.replication.workload import ReplicationParameters
 from repro.workload.params import SimulationParameters
 
 # ---------------------------------------------------------------------------
@@ -46,18 +53,18 @@ Variants = Tuple[Tuple[str, Dict[str, Any]], ...]
 
 
 def _series(
-    base: SimulationParameters,
+    base: Any,
     seed: int,
     variants: Variants,
-    axis: Callable[[float], Dict[str, Any]] = lambda c: {"clients": int(c)},
+    axis: Callable[[float], Dict[str, Any]],
 ) -> Tuple[SeriesDef, ...]:
     """One curve per ``(label, overrides)`` of ``base``; ``axis`` maps
-    an x-value to its own overrides (default: the client count)."""
+    an x-value to its own overrides."""
     return tuple(
         SeriesDef(
             label=label,
-            cell=lambda x, overrides=overrides: base.with_overrides(
-                seed=seed, **axis(x), **overrides
+            cell=lambda x, overrides=overrides: replace(
+                base, seed=seed, **axis(x), **overrides
             ),
         )
         for label, overrides in variants
@@ -146,31 +153,37 @@ def _client_sweep(fast: bool, maximum: int) -> Tuple[float, ...]:
     return tuple(float(c) for c in step_points if c <= maximum)
 
 
-def _client_figure(
+def _figure(
     exp_id: str,
     title: str,
-    base: SimulationParameters,
+    base: Any,
     variants: Variants,
     notes: str,
-    clients: Union[int, Tuple[int, ...]] = 25,
+    grid: Union[int, Tuple[float, ...]] = 25,
+    x_label: str = "Number of Clients",
+    axis: Callable[[float], Dict[str, Any]] = lambda c: {"clients": int(c)},
+    metric: str = "mean_communication_time_per_call",
 ) -> Callable[..., ExperimentDef]:
-    """A figure factory over the number of clients.
+    """A figure factory: one curve per variant of ``base``, swept along
+    ``axis`` (by default, the number of clients).
 
-    An int ``clients`` is the top of the paper's client sweep, thinned
-    by ``fast``; a tuple is a fixed grid (the ablations', already thin).
+    An int ``grid`` is the top of the paper's client sweep, thinned by
+    ``fast``; a tuple is a fixed grid (the ablations' and outlook
+    studies', already short).
     """
 
     def factory(seed: int = 0, fast: bool = False) -> ExperimentDef:
         return ExperimentDef(
             exp_id=exp_id,
             title=title,
-            x_label="Number of Clients",
+            x_label=x_label,
             x_values=(
-                _client_sweep(fast, clients)
-                if isinstance(clients, int)
-                else tuple(float(c) for c in clients)
+                _client_sweep(fast, grid)
+                if isinstance(grid, int)
+                else tuple(float(x) for x in grid)
             ),
-            series=_series(base, seed, variants),
+            series=_series(base, seed, variants, axis),
+            metric=metric,
             notes=notes,
         )
 
@@ -179,7 +192,7 @@ def _client_figure(
 
 
 #: Fig 12: mean communication time per call vs number of clients.
-figure12 = _client_figure(
+figure12 = _figure(
     "fig12",
     "Increasing the Number of Clients",
     FIG12_BASE,
@@ -214,7 +227,7 @@ FIG14_POLICIES = (
 
 
 #: Fig 14: intelligent placement strategies vs number of clients.
-figure14 = _client_figure(
+figure14 = _figure(
     "fig14",
     "Exploiting Dynamic Information",
     FIG14_BASE,
@@ -267,7 +280,7 @@ FIG16_VARIANTS = (
 
 
 #: Fig 16: attachment semantics under increasing client counts.
-figure16 = _client_figure(
+figure16 = _figure(
     "fig16",
     "Keeping Objects Together",
     FIG16_BASE,
@@ -275,7 +288,7 @@ figure16 = _client_figure(
     "Migration + unrestricted attachment is devastating (clients "
     "steal whole chained working sets); A-transitive attachment "
     "bounds the damage; placement + A-transitive is best (§4.4).",
-    clients=12,
+    grid=12,
 )
 
 
@@ -285,7 +298,7 @@ figure16 = _client_figure(
 
 
 #: §2.2's transient fixing "to avoid thrashing", on Fig 12's hot spot.
-guard_ablation = _client_figure(
+guard_ablation = _figure(
     "guard",
     "Transient Fixing against Thrashing",
     FIG12_BASE,
@@ -299,13 +312,13 @@ guard_ablation = _client_figure(
     "The ThrashingGuard pins ping-ponging objects, capping conventional "
     "migration's hot-spot degradation; it only rate-limits conflicts, "
     "so it does not reach the place-policy.",
-    clients=(3, 10, 20, 25),
+    grid=(3, 10, 20, 25),
 )
 
 #: The object-location strategies §4.1 folds into the message time.
 LOCATORS = ("immediate", "forwarding", "nameserver", "broadcast")
 
-locator_ablation = _client_figure(
+locator_ablation = _figure(
     "locator",
     "Object-Location Strategies",
     FIG12_BASE,
@@ -316,11 +329,11 @@ locator_ablation = _client_figure(
     ),
     "Immediate update is the paper's zero-cost model; the other "
     "locators add cost without reversing the policy ordering.",
-    clients=(10,),
+    grid=(10,),
 )
 
 #: §4.2.2's predicted N/M effect on placement's break-even.
-nm_ratio_ablation = _client_figure(
+nm_ratio_ablation = _figure(
     "nm_ratio",
     "Break-even vs N/M (M = 6)",
     FIG12_BASE,
@@ -331,11 +344,11 @@ nm_ratio_ablation = _client_figure(
     ),
     "Doubling the calls per move-block pushes placement's break-even "
     "with the sedentary baseline right, possibly out of range.",
-    clients=(1, 3, 6, 10, 15, 20, 25),
+    grid=(1, 3, 6, 10, 15, 20, 25),
 )
 
 #: §3.4's exclusive attachment, described but not plotted.
-exclusive_ablation = _client_figure(
+exclusive_ablation = _figure(
     "exclusive",
     "Exclusive Attachment",
     FIG16_BASE,
@@ -346,11 +359,11 @@ exclusive_ablation = _client_figure(
     ),
     "First-come-first-served exclusivity bounds working sets without "
     "aligning them with usage: between unrestricted and A-transitive.",
-    clients=(10,),
+    grid=(10,),
 )
 
 #: §2.3's call-by-visit against the paper's call-by-move.
-visit_ablation = _client_figure(
+visit_ablation = _figure(
     "visit",
     "Call-by-Move vs Call-by-Visit",
     FIG12_BASE,
@@ -361,12 +374,12 @@ visit_ablation = _client_figure(
     ),
     "Visit returns the object home after every block and pays the "
     "return transfer; for uniform clients home is no better a place.",
-    clients=(3, 10, 20),
+    grid=(3, 10, 20),
 )
 
 #: §4.1's "other structures had no effects", under its normalized
 #: latency (per-hop latency, where they do, is a unit test).
-topology_ablation = _client_figure(
+topology_ablation = _figure(
     "topology",
     "Transient Placement per Topology (normalized latency)",
     FIG12_BASE,
@@ -376,7 +389,73 @@ topology_ablation = _client_figure(
     ),
     "Message latency has one mean for every node pair, so the "
     "topology curves agree within noise.",
-    clients=(3, 10),
+    grid=(3, 10),
+)
+
+
+# ---------------------------------------------------------------------------
+# Outlook studies — the paper's §2.2 goal and §5 outlook, same harness
+# ---------------------------------------------------------------------------
+
+
+#: §5: replication under a read/write mix, against migration's story.
+replication_study = _figure(
+    "replication",
+    "Replication vs Read Ratio",
+    ReplicationParameters(),
+    _policies((p, p) for p in ("none", "eager", "threshold")),
+    "Eager replication thrashes like conventional migration once "
+    "writes appear; threshold replication behaves like the place-policy.",
+    grid=(0.99, 0.95, 0.9, 0.8, 0.7, 0.5),
+    x_label="read_ratio",
+    axis=lambda ratio: {"read_ratio": ratio},
+    metric="mean_op_time",
+)
+
+#: §5: fragmented objects under conflicting migration control.
+fragmentation_study = _figure(
+    "fragmentation",
+    "Fragment Granularity",
+    FragmentationParameters(clients=20),
+    _policies((p, p) for p in ("migration", "placement")),
+    "Finer fragments tame conflicts, with diminishing returns.",
+    grid=(1, 2, 4, 8),
+    x_label="fragments",
+    axis=lambda k: {"fragments_per_object": int(k)},
+)
+
+#: §2.2: availability calls for spreading a group, performance for
+#: collocating it.
+availability_study = _figure(
+    "availability",
+    "Collocation vs Distribution under Failures",
+    AvailabilityParameters(mttf=200.0, mttr=50.0),
+    tuple((p, {"placement": p}) for p in ("collocated", "spread")),
+    "Spreading wins for independent accesses, collocation for chained "
+    "group operations.",
+    grid=(0.0, 0.1, 0.3, 0.6, 1.0),
+    x_label="group_op_fraction",
+    axis=lambda mix: {"group_op_fraction": mix},
+    metric="mean_op_time",
+)
+
+#: The paper's three policies on a system that loses messages and
+#: crashes nodes, over a fixed horizon (the stopping rule does not
+#: apply).  The place-policy runs with leases: unleased, an abandoned
+#: block keeps its locks forever
+#: (``tests/test_availability_faulttolerance.py`` checks that contrast).
+faulttolerance_study = _figure(
+    "faulttolerance",
+    "Migration Policies under Message Loss and Crashes",
+    FaultToleranceParameters(mttf=150.0, mttr=50.0, sim_time=5_000.0),
+    _policies((p, p) for p in ("sedentary", "migration"))
+    + (("placement", {"policy": "placement", "lease_duration": 60.0}),),
+    "Leased placement stays ahead of conventional migration, which "
+    "stays ahead of no migration, at every loss rate.",
+    grid=(0.0, 0.01, 0.03, 0.05),
+    x_label="loss",
+    axis=lambda loss: {"loss": loss},
+    metric="mean_call_duration",
 )
 
 
@@ -398,6 +477,10 @@ FIGURES = {
     "exclusive": exclusive_ablation,
     "visit": visit_ablation,
     "topology": topology_ablation,
+    "replication": replication_study,
+    "fragmentation": fragmentation_study,
+    "availability": availability_study,
+    "faulttolerance": faulttolerance_study,
 }
 
 

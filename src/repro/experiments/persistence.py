@@ -10,37 +10,83 @@ definition's identity, the parameter grid, and every cell's metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
+from enum import Enum
+from importlib import import_module
 from pathlib import Path
-from typing import Union
+from typing import Union, get_type_hints
 
-from repro.core.attachment import AttachmentMode
 from repro.experiments.config import ExperimentDef, SeriesDef
 from repro.experiments.runner import ExperimentResult
 from repro.workload.clientserver import WorkloadResult
 from repro.workload.params import SimulationParameters
 
 #: Format version written into every document.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def params_to_dict(params: SimulationParameters) -> dict:
-    """Serialize parameters to a JSON-compatible dict (shared codec)."""
-    data = asdict(params)
-    data["attachment_mode"] = params.attachment_mode.value
-    return data
+def params_to_dict(params) -> dict:
+    """Serialize any parameter dataclass to a JSON-compatible dict (the
+    shared codec): enums by value, nested dataclasses as dicts."""
+    return {f.name: _encode(getattr(params, f.name)) for f in fields(params)}
 
 
-def params_from_dict(data: dict) -> SimulationParameters:
-    """Rebuild :class:`SimulationParameters` from :func:`params_to_dict`."""
-    data = dict(data)
-    data["attachment_mode"] = AttachmentMode(data["attachment_mode"])
-    return SimulationParameters(**data)
+def _encode(value):
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return params_to_dict(value)
+    return value
 
 
-# Backwards-compatible aliases (the codecs predate the cell cache).
-_params_to_dict = params_to_dict
-_params_from_dict = params_from_dict
+def params_from_dict(data: dict, cls: type = SimulationParameters):
+    """Rebuild a ``cls`` instance from :func:`params_to_dict`."""
+    hints = get_type_hints(cls)
+    return cls(**{name: _decode(hints[name], v) for name, v in data.items()})
+
+
+def _decode(kind, value):
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return kind(value)
+    if is_dataclass(kind):
+        return params_from_dict(value, kind)
+    return value
+
+
+def params_type(params) -> str:
+    """The ``module:Class`` name a document records a cell's class by."""
+    cls = type(params)
+    return f"{cls.__module__}:{cls.__qualname__}"
+
+
+def _params_class(name: str) -> type:
+    module, _, qualname = name.partition(":")
+    if not module.startswith("repro."):
+        raise ValueError(f"not a parameter class of this package: {name!r}")
+    return getattr(import_module(module), qualname)
+
+
+def cell_to_dict(result: WorkloadResult) -> dict:
+    """Serialize one cell's result (the cache's and documents' codec)."""
+    return {
+        "params_type": params_type(result.params),
+        "params": params_to_dict(result.params),
+        "metrics": result.metrics,
+        "simulated_time": result.simulated_time,
+        "raw": result.raw,
+    }
+
+
+def cell_from_dict(data: dict, params=None) -> WorkloadResult:
+    """Rebuild a cell's result from :func:`cell_to_dict`; a caller that
+    already holds the cell's ``params`` (a cache lookup) passes them."""
+    if params is None:
+        params = params_from_dict(
+            data["params"], _params_class(data["params_type"])
+        )
+    return WorkloadResult(
+        params, data["metrics"], data["simulated_time"], data.get("raw", {})
+    )
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -55,21 +101,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "metric": defn.metric,
         "notes": defn.notes,
         "series": {
-            label: [
-                {
-                    "params": _params_to_dict(cell.params),
-                    "mean_communication_time_per_call": (
-                        cell.mean_communication_time_per_call
-                    ),
-                    "mean_call_duration": cell.mean_call_duration,
-                    "mean_migration_time_per_call": (
-                        cell.mean_migration_time_per_call
-                    ),
-                    "simulated_time": cell.simulated_time,
-                    "raw": cell.raw,
-                }
-                for cell in result.results[label]
-            ]
+            label: [cell_to_dict(cell) for cell in result.results[label]]
             for label in result.labels
         },
     }
@@ -91,28 +123,13 @@ def result_from_dict(data: dict) -> ExperimentResult:
     series_defs = []
     results = {}
     for label, cells in data["series"].items():
-        params_list = [_params_from_dict(c["params"]) for c in cells]
+        results[label] = [cell_from_dict(c) for c in cells]
         series_defs.append(
             SeriesDef(
                 label=label,
-                cell=lambda x, _params=params_list[0]: _params,
+                cell=lambda x, _params=results[label][0].params: _params,
             )
         )
-        results[label] = [
-            WorkloadResult(
-                params=params,
-                mean_communication_time_per_call=c[
-                    "mean_communication_time_per_call"
-                ],
-                mean_call_duration=c["mean_call_duration"],
-                mean_migration_time_per_call=c[
-                    "mean_migration_time_per_call"
-                ],
-                simulated_time=c["simulated_time"],
-                raw=c.get("raw", {}),
-            )
-            for params, c in zip(params_list, cells)
-        ]
     definition = ExperimentDef(
         exp_id=data["exp_id"],
         title=data["title"],

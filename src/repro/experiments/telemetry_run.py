@@ -29,11 +29,11 @@ from repro.availability.chaos import (
 )
 from repro.availability.faulttolerance import (
     FaultToleranceParameters,
-    FaultToleranceResult,
     FaultToleranceWorkload,
 )
 from repro.telemetry.core import Telemetry
 from repro.telemetry.export import export_run
+from repro.workload.clientserver import WorkloadResult
 
 
 def instrumented_ft_parameters(seed: int = 0) -> FaultToleranceParameters:
@@ -57,7 +57,7 @@ def run_instrumented_faulttolerance(
     out_dir: Union[str, Path],
     params: FaultToleranceParameters = None,
     seed: int = 0,
-) -> Tuple[FaultToleranceResult, Telemetry, Dict[str, Path]]:
+) -> Tuple[WorkloadResult, Telemetry, Dict[str, Path]]:
     """Run one fault-tolerance cell with telemetry; export artifacts.
 
     Returns ``(result, telemetry, paths)`` where ``paths`` maps artifact

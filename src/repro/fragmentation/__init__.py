@@ -8,14 +8,10 @@ overhead.  See ``repro-experiment fragmentation --check``.
 
 from repro.fragmentation.workload import (
     FragmentationParameters,
-    FragmentationResult,
     FragmentationWorkload,
-    run_fragmentation_cell,
 )
 
 __all__ = [
     "FragmentationParameters",
-    "FragmentationResult",
     "FragmentationWorkload",
-    "run_fragmentation_cell",
 ]

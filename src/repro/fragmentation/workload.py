@@ -24,18 +24,14 @@ Granularity trade-off this exposes (``repro-experiment fragmentation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.analysis.metrics import MetricsCollector
 from repro.core.moveblock import MoveBlock
-from repro.core.policies.registry import make_policy
 from repro.errors import ConfigurationError
 from repro.runtime.objects import DistributedObject
 from repro.runtime.system import DistributedSystem
-from repro.sim.stopping import StoppingConfig
-from repro.workload.generator import BlockTimingGenerator
-from repro.workload.params import SimulationParameters
+from repro.workload.clientserver import ClientServerWorkload
 
 
 @dataclass(frozen=True)
@@ -77,6 +73,11 @@ class FragmentationParameters:
             raise ConfigurationError("mean_calls_per_block must be > 0")
 
     @property
+    def workload(self) -> type:
+        """The workload class that simulates this cell."""
+        return FragmentationWorkload
+
+    @property
     def touched_count(self) -> int:
         """Fragments touched per block (at least one)."""
         return max(
@@ -84,41 +85,32 @@ class FragmentationParameters:
         )
 
 
-@dataclass
-class FragmentationResult:
-    """Outcome of one fragmentation cell."""
+class FragmentationWorkload(ClientServerWorkload):
+    """The client–server loop over fragmented logical objects.
 
-    params: FragmentationParameters
-    mean_communication_time_per_call: float
-    mean_call_duration: float
-    mean_migration_time_per_call: float
-    raw: Dict = field(default_factory=dict)
+    A block's target is a random subset of one logical object's
+    fragments; it moves them in parallel, spreads its N calls over
+    them, and ends every fragment's block.
+    """
 
-
-class FragmentationWorkload:
-    """Builds and runs one fragmentation-study cell."""
-
-    CHUNK = 2_000.0
+    TIMING_STREAM = "frag.client.{}.t"
+    PICK_STREAM = "frag.client.{}.p"
     MAX_TIME = 2_000_000.0
 
-    def __init__(
-        self,
-        params: FragmentationParameters,
-        stopping: Optional[StoppingConfig] = None,
-    ):
-        params.validate()
-        self.params = params
-        self.system = DistributedSystem(
+    def _build_system(self, params, tracer) -> DistributedSystem:
+        return DistributedSystem(
             nodes=params.nodes,
             seed=params.seed,
             migration_duration=params.migration_duration,
+            tracer=tracer,
         )
-        self.metrics = MetricsCollector(stopping)
+
+    def _place_servers(self) -> List[DistributedObject]:
         # K fragments per logical object, each 1/K of the state.
+        params = self.params
         k = params.fragments_per_object
-        self.fragments: Dict[int, List[DistributedObject]] = {}
-        for j in range(params.logical_objects):
-            self.fragments[j] = [
+        self.fragments: Dict[int, List[DistributedObject]] = {
+            j: [
                 self.system.create_server(
                     node=(j * k + i) % params.nodes,
                     name=f"obj{j}-frag{i}",
@@ -126,112 +118,52 @@ class FragmentationWorkload:
                 )
                 for i in range(k)
             ]
-        self.clients = [
-            self.system.create_client(node=i % params.nodes)
-            for i in range(params.clients)
+            for j in range(params.logical_objects)
+        }
+        return [f for frags in self.fragments.values() for f in frags]
+
+    def _place_clients(self) -> List[DistributedObject]:
+        return [
+            self.system.create_client(node=i % self.params.nodes)
+            for i in range(self.params.clients)
         ]
-        self.policy = make_policy(params.policy, self.system)
-        self._started = False
 
-    # -- client behaviour -----------------------------------------------------------
-
-    def _one_move(self, block: MoveBlock):
-        yield from self.policy.move(block)
-
-    def client_process(self, index: int):
-        """One client's endless multi-fragment move-block loop."""
-        client = self.clients[index]
-        sim_params = SimulationParameters(
-            mean_calls_per_block=self.params.mean_calls_per_block,
-            mean_intercall_time=self.params.mean_intercall_time,
-            mean_interblock_time=self.params.mean_interblock_time,
-            migration_duration=self.params.migration_duration,
-        )
-        timing = BlockTimingGenerator(
-            sim_params, self.system.streams.stream(f"frag.client.{index}.t")
-        )
-        picker = self.system.streams.stream(f"frag.client.{index}.p")
+    def _move_block(self, client: DistributedObject, picker, plan):
+        """Move the touched fragments in parallel, make the N calls on
+        them, and end every fragment's block.  Returns the master block
+        that carries the calls and the move phase's cost."""
         env = self.system.env
+        logical = picker.integer(0, self.params.logical_objects)
+        pool = list(self.fragments[logical])
+        picker.shuffle(pool)
+        touched = pool[: self.params.touched_count]
 
-        while True:
-            plan = timing.next_plan()
-            if plan.lead_time > 0:
-                yield env.timeout(plan.lead_time)
-
-            logical = picker.integer(0, self.params.logical_objects)
-            pool = list(self.fragments[logical])
-            picker.shuffle(pool)
-            touched = pool[: self.params.touched_count]
-
-            # Parallel move phase: one move-block per touched fragment.
-            blocks = [
-                MoveBlock(client.node_id, fragment) for fragment in touched
-            ]
-            move_start = env.now
-            procs = [
-                env.process(self._one_move(b), name=f"frag-move-{b.block_id}")
+        # Parallel move phase: one move-block per touched fragment.
+        blocks = [MoveBlock(client.node_id, fragment) for fragment in touched]
+        move_start = env.now
+        yield env.all_of(
+            [
+                env.process(self.policy.move(b), name=f"frag-move-{b.block_id}")
                 for b in blocks
             ]
-            yield env.all_of(procs)
-
-            # Master accounting block: the move phase's wall-clock cost
-            # is amortized over the logical block's calls (§4.2.1).
-            master = MoveBlock(client.node_id, touched[0])
-            master.granted = any(b.granted for b in blocks)
-            master.migration_cost = env.now - move_start
-
-            for gap in plan.intercall_times:
-                if gap > 0:
-                    yield env.timeout(gap)
-                fragment = picker.choice(touched)
-                result = yield from self.system.invocations.invoke(
-                    client.node_id, fragment
-                )
-                master.record_call(result.duration)
-
-            for block in blocks:
-                yield from self.policy.end(block)
-            master.ended_at = env.now
-            self.metrics.record_block(master)
-
-    # -- execution ----------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Launch every client process (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for i in range(len(self.clients)):
-            self.system.env.process(
-                self.client_process(i), name=f"frag-client-{i}"
-            )
-
-    def run(self) -> FragmentationResult:
-        """Simulate until the stopping rule fires; return the metrics."""
-        self.start()
-        env = self.system.env
-        while True:
-            env.run(until=env.now + self.CHUNK)
-            if self.metrics.should_stop() or env.now >= self.MAX_TIME:
-                break
-        self.metrics.finalize(self.policy)
-        m = self.metrics
-        return FragmentationResult(
-            params=self.params,
-            mean_communication_time_per_call=m.mean_communication_time_per_call,
-            mean_call_duration=m.mean_call_duration,
-            mean_migration_time_per_call=m.mean_migration_time_per_call,
-            raw={
-                "metrics": m.summary(),
-                "policy": self.policy.stats(),
-                "migrations": self.system.migrations.migration_count,
-            },
         )
 
+        # Master accounting block: the move phase's wall-clock cost
+        # is amortized over the logical block's calls (§4.2.1).
+        master = MoveBlock(client.node_id, touched[0])
+        master.granted = any(b.granted for b in blocks)
+        master.migration_cost = env.now - move_start
 
-def run_fragmentation_cell(
-    params: FragmentationParameters,
-    stopping: Optional[StoppingConfig] = None,
-) -> FragmentationResult:
-    """Convenience one-shot wrapper."""
-    return FragmentationWorkload(params, stopping=stopping).run()
+        for gap in plan.intercall_times:
+            if gap > 0:
+                yield env.timeout(gap)
+            fragment = picker.choice(touched)
+            result = yield from self.system.invocations.invoke(
+                client.node_id, fragment
+            )
+            master.record_call(result.duration)
+
+        for block in blocks:
+            yield from self.policy.end(block)
+        master.ended_at = env.now
+        return master

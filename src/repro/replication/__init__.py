@@ -19,9 +19,7 @@ from repro.replication.policies import (
 from repro.replication.service import OpResult, ReplicationService
 from repro.replication.workload import (
     ReplicationParameters,
-    ReplicationResult,
     ReplicationWorkload,
-    run_replication_cell,
 )
 
 __all__ = [
@@ -31,10 +29,8 @@ __all__ = [
     "REPLICATION_POLICIES",
     "ReplicationParameters",
     "ReplicationPolicy",
-    "ReplicationResult",
     "ReplicationService",
     "ReplicationWorkload",
     "ThresholdReplication",
     "make_replication_policy",
-    "run_replication_cell",
 ]

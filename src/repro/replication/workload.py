@@ -10,15 +10,14 @@ the main study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.replication.policies import make_replication_policy
 from repro.replication.service import ReplicationService
-from repro.runtime.system import DistributedSystem
 from repro.sim.stats import RunningStats
-from repro.sim.stopping import PrecisionStopping, StoppingConfig
+from repro.workload.clientserver import CellWorkload
 
 
 @dataclass(frozen=True)
@@ -52,33 +51,19 @@ class ReplicationParameters:
         if self.copy_duration < 0:
             raise ConfigurationError("copy_duration must be >= 0")
 
-
-@dataclass
-class ReplicationResult:
-    """Outcome of one replication cell."""
-
-    params: ReplicationParameters
-    mean_op_time: float
-    mean_read_time: float
-    mean_write_time: float
-    copy_time_per_op: float
-    raw: Dict = field(default_factory=dict)
+    @property
+    def workload(self) -> type:
+        """The workload class that simulates this cell."""
+        return ReplicationWorkload
 
 
-class ReplicationWorkload:
+class ReplicationWorkload(CellWorkload):
     """Builds and runs one replication-study cell."""
 
-    CHUNK = 2_000.0
     MAX_TIME = 2_000_000.0
 
-    def __init__(
-        self,
-        params: ReplicationParameters,
-        stopping: Optional[StoppingConfig] = None,
-    ):
-        params.validate()
-        self.params = params
-        self.system = DistributedSystem(nodes=params.nodes, seed=params.seed)
+    def __init__(self, params: ReplicationParameters, **kwargs):
+        super().__init__(params, **kwargs)
         self.service = ReplicationService(
             self.system.env,
             self.system.network,
@@ -90,8 +75,6 @@ class ReplicationWorkload:
             for i in range(params.objects)
         ]
         self.op_times = RunningStats()
-        self.stopping = PrecisionStopping(stopping or StoppingConfig())
-        self._started = False
 
     def client_process(self, index: int):
         """One autonomous component's endless read/write loop."""
@@ -111,46 +94,23 @@ class ReplicationWorkload:
             self.op_times.add(elapsed)
             self.stopping.add(elapsed)
 
-    def start(self) -> None:
-        """Launch every client process (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for i in range(self.params.clients):
-            self.system.env.process(
-                self.client_process(i), name=f"repl-client-{i}"
-            )
+    def measure(self) -> Tuple[Dict[str, float], Dict]:
+        """Mean operation, read and write time, and copy time per op.
 
-    def run(self) -> ReplicationResult:
-        """Simulate until the stopping rule fires; return the metrics."""
-        self.start()
-        env = self.system.env
-        while True:
-            env.run(until=env.now + self.CHUNK)
-            if self.stopping.should_stop() or env.now >= self.MAX_TIME:
-                break
+        Replication happens inside reads, so the copy time is already
+        in the operation times; it is reported separately too.
+        """
         stats = self.service.stats()
-        ops = max(1, self.op_times.count)
-        # Copy time is work the clients caused but did not individually
-        # wait for in op_times (replication happens inside reads here,
-        # so it IS included — this figure reports it separately too).
-        return ReplicationResult(
-            params=self.params,
-            mean_op_time=self.op_times.mean if self.op_times.count else 0.0,
-            mean_read_time=stats["mean_read"],
-            mean_write_time=stats["mean_write"],
-            copy_time_per_op=self.service.total_copy_time / ops,
-            raw={
-                "service": stats,
-                "operations": self.op_times.count,
-                "stopping": self.stopping.summary(),
-            },
-        )
-
-
-def run_replication_cell(
-    params: ReplicationParameters,
-    stopping: Optional[StoppingConfig] = None,
-) -> ReplicationResult:
-    """Convenience one-shot wrapper."""
-    return ReplicationWorkload(params, stopping=stopping).run()
+        metrics = {
+            "mean_op_time": self.op_times.mean if self.op_times.count else 0.0,
+            "mean_read_time": stats["mean_read"],
+            "mean_write_time": stats["mean_write"],
+            "copy_time_per_op": (
+                self.service.total_copy_time / max(1, self.op_times.count)
+            ),
+        }
+        return metrics, {
+            "service": stats,
+            "operations": self.op_times.count,
+            "stopping": self.stopping.summary(),
+        }

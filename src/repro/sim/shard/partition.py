@@ -29,15 +29,21 @@ from repro.errors import ConfigurationError
 from repro.workload.params import SimulationParameters
 
 
-def effective_shards(params: SimulationParameters, shards: int) -> int:
+def effective_shards(params, shards: int) -> int:
     """The largest shard count ``<= shards`` the cell supports.
 
     Sweeps like Fig 12 include cells too small to split (a 1-client
     cell cannot occupy 2 shards) and shapes the sharded kernel does not
-    cover (layered, call-by-visit); those degrade to the unsharded
-    kernel rather than failing the whole sweep.
+    cover (layered, call-by-visit, and every outlook study's cell);
+    those degrade to the unsharded kernel rather than failing the
+    whole sweep.
     """
-    if shards <= 1 or params.is_layered or params.block_style != "move":
+    if (
+        shards <= 1
+        or not isinstance(params, SimulationParameters)
+        or params.is_layered
+        or params.block_style != "move"
+    ):
         return 1
     return max(
         1, min(shards, params.nodes, params.clients, params.servers_layer1)

@@ -5,7 +5,7 @@
 per a :class:`~repro.sim.shard.partition.ShardPlan`, picks an execution
 backend (inline or multiprocess), drives the conservative window
 protocol and merges the per-shard outcomes into one
-:class:`ShardedResult` that is attribute-compatible with
+:class:`ShardedResult`, a
 :class:`~repro.workload.clientserver.WorkloadResult` — the experiments
 layer plots either without knowing the difference.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.executor import Workers, resolve_workers
@@ -35,7 +35,7 @@ from repro.sim.stats import RunningStats
 from repro.sim.stopping import StoppingConfig
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
-from repro.workload.clientserver import run_cell
+from repro.workload.clientserver import WorkloadResult, run_cell
 from repro.workload.params import SimulationParameters
 
 #: Accepted backend spellings.
@@ -43,22 +43,15 @@ BACKENDS = ("auto", "inline", "process")
 
 
 @dataclass
-class ShardedResult:
+class ShardedResult(WorkloadResult):
     """Merged outcome of one sharded cell.
 
-    Carries the same headline attributes as
-    :class:`~repro.workload.clientserver.WorkloadResult` (``params``,
-    the three mean metrics, ``simulated_time``, ``raw``) plus the
-    sharding facts a bench or test needs (plan, backend, window count,
-    wall time, per-shard outcomes, merged trace).
+    A :class:`~repro.workload.clientserver.WorkloadResult` (``params``,
+    the three means as named metrics, ``simulated_time``, ``raw``) plus
+    the sharding facts a bench or test needs (plan, backend, window
+    count, wall time, per-shard outcomes, merged trace).
     """
 
-    params: SimulationParameters
-    mean_communication_time_per_call: float
-    mean_call_duration: float
-    mean_migration_time_per_call: float
-    simulated_time: float
-    raw: Dict = field(default_factory=dict)
     shards: int = 1
     backend: str = "single"
     windows: int = 0
@@ -126,9 +119,11 @@ def _merge_outcomes(
     simulated_time = max(o.simulated_time for o in outcomes)
     return ShardedResult(
         params=plan.params,
-        mean_communication_time_per_call=mean_call + mean_migration,
-        mean_call_duration=mean_call,
-        mean_migration_time_per_call=mean_migration,
+        metrics={
+            "mean_communication_time_per_call": mean_call + mean_migration,
+            "mean_call_duration": mean_call,
+            "mean_migration_time_per_call": mean_migration,
+        },
         simulated_time=simulated_time,
         raw={
             "plan": plan.describe(),
@@ -177,9 +172,7 @@ def _single_shard_result(
     result = run_cell(plan.params, stopping=stopping, tracer=tracer)
     return ShardedResult(
         params=result.params,
-        mean_communication_time_per_call=result.mean_communication_time_per_call,
-        mean_call_duration=result.mean_call_duration,
-        mean_migration_time_per_call=result.mean_migration_time_per_call,
+        metrics=result.metrics,
         simulated_time=result.simulated_time,
         raw=result.raw,
         shards=1,

@@ -31,7 +31,7 @@ from repro.sim.shard.messages import WindowBatch, route_batches
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.stopping import StoppingConfig
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
-from repro.workload.clientserver import WorkloadRunner
+from repro.workload.clientserver import ClientServerWorkload
 
 
 class _WindowClock:
@@ -150,8 +150,8 @@ class ConservativeWindowSync:
                 f"hosts cover shards {hosted}, plan needs "
                 f"0..{plan.shards - 1} exactly once each"
             )
-        self.max_time = max_time if max_time is not None else WorkloadRunner.MAX_TIME
-        poll = poll_interval if poll_interval is not None else WorkloadRunner.CHUNK
+        self.max_time = max_time if max_time is not None else ClientServerWorkload.MAX_TIME
+        poll = poll_interval if poll_interval is not None else ClientServerWorkload.CHUNK
         #: Stopping-rule poll cadence in windows (>= 1).
         self.poll_windows = max(1, round(poll / plan.window))
         self.windows_run = 0

@@ -1,9 +1,9 @@
 """Workload generators: the paper's simulation scenarios (Figs 6/7)."""
 
 from repro.workload.clientserver import (
+    CellWorkload,
     ClientServerWorkload,
     WorkloadResult,
-    WorkloadRunner,
     run_cell,
 )
 from repro.workload.generator import BlockPlan, BlockTimingGenerator
@@ -13,10 +13,10 @@ from repro.workload.params import SimulationParameters
 __all__ = [
     "BlockPlan",
     "BlockTimingGenerator",
+    "CellWorkload",
     "ClientServerWorkload",
     "LayeredWorkload",
     "SimulationParameters",
     "WorkloadResult",
-    "WorkloadRunner",
     "run_cell",
 ]

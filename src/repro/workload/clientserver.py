@@ -1,4 +1,4 @@
-"""The basic client–server workload (Fig 6) and its simulation driver.
+"""The cell runner and the basic client–server workload (Fig 6).
 
 C sedentary clients share S1 movable servers.  Each client loops
 forever: wait t_m, pick a server uniformly, open a move-block (move →
@@ -8,15 +8,17 @@ through two parameters: in incrementing the number of clients [C] or in
 decrementing the time between the move-blocks inside each client t_m"
 (§4.1) — exactly the two sweeps of Figs 8 and 12.
 
-:class:`WorkloadRunner` is the shared chunked-execution driver: it runs
-the simulation in time slices, polling the §4.1 stopping rule between
-slices, and produces a :class:`WorkloadResult`.
+:class:`CellWorkload` is the §4.1 method every study shares: build the
+system, start the clients, run the simulation in chunks until the
+stopping rule fires, and report a :class:`WorkloadResult` of named
+metrics.  :func:`run_cell` runs any parameter cell on the workload
+its parameter class names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import MetricsCollector
 from repro.core.moveblock import MoveBlock
@@ -27,7 +29,7 @@ from repro.network.topology import make_topology
 from repro.runtime.locator import make_locator
 from repro.runtime.objects import DistributedObject
 from repro.runtime.system import DistributedSystem
-from repro.sim.stopping import StoppingConfig
+from repro.sim.stopping import PrecisionStopping, StoppingConfig
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.workload.generator import BlockTimingGenerator
 from repro.workload.params import SimulationParameters
@@ -37,20 +39,34 @@ from repro.workload.params import SimulationParameters
 class WorkloadResult:
     """Outcome of one simulated cell.
 
-    ``series`` values are what the figure harness plots; ``raw`` keeps
-    the full metric summary for EXPERIMENTS.md.
+    ``metrics`` holds the study's named metrics, each also readable as
+    an attribute (``result.mean_call_duration``); ``raw`` keeps the
+    full summary for EXPERIMENTS.md.
     """
 
-    params: SimulationParameters
-    mean_communication_time_per_call: float
-    mean_call_duration: float
-    mean_migration_time_per_call: float
+    params: Any
+    metrics: Dict[str, float]
     simulated_time: float
     raw: Dict = field(default_factory=dict)
 
+    def __getattr__(self, name: str):
+        # Reached only for names that are not fields; ``__dict__`` is
+        # read directly so a half-built (unpickling) instance raises.
+        try:
+            return self.__dict__["metrics"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
-class WorkloadRunner:
-    """Chunked simulation driver with the paper's stopping rule."""
+
+class CellWorkload:
+    """One cell of a study: system, clients, chunked stop loop, result.
+
+    A subclass builds its objects after ``super().__init__``, defines
+    ``client_process(i)`` and :meth:`measure`, and may start background
+    processes in :meth:`_start_services`.  The chunk size decides where
+    the stopping rule fires, so each study keeps its own ``CHUNK`` and
+    ``MAX_TIME``.
+    """
 
     #: Simulated time per chunk between stopping-rule polls.
     CHUNK = 2_000.0
@@ -58,42 +74,61 @@ class WorkloadRunner:
     #: primary bound is the stopping config's max_observations).
     MAX_TIME = 5_000_000.0
 
-    def __init__(self, workload: "ClientServerWorkload"):
-        self.workload = workload
+    def __init__(
+        self,
+        params,
+        stopping: Optional[StoppingConfig] = None,
+        tracer: Tracer = NULL_TRACER,
+    ):
+        params.validate()
+        self.params = params
+        self.stopping = PrecisionStopping(stopping)
+        self.system = self._build_system(params, tracer)
+        self._started = False
 
-    def run(self) -> WorkloadResult:
-        """Drive the workload in chunks until the stopping rule fires."""
-        w = self.workload
-        env = w.system.env
-        w.start()
-        while True:
-            env.run(until=env.now + self.CHUNK)
-            if w.metrics.should_stop():
-                break
-            if env.now >= self.MAX_TIME:
-                break
-        w.metrics.finalize(w.policy)
-        m = w.metrics
-        return WorkloadResult(
-            params=w.params,
-            mean_communication_time_per_call=m.mean_communication_time_per_call,
-            mean_call_duration=m.mean_call_duration,
-            mean_migration_time_per_call=m.mean_migration_time_per_call,
-            simulated_time=env.now,
-            raw={
-                "metrics": m.summary(),
-                "policy": w.policy.stats(),
-                "network": {
-                    "remote_messages": w.system.network.remote_messages,
-                    "local_messages": w.system.network.local_messages,
-                },
-                "migrations": w.system.migrations.migration_count,
-            },
+    def _build_system(self, params, tracer: Tracer) -> DistributedSystem:
+        return DistributedSystem(
+            nodes=params.nodes, seed=params.seed, tracer=tracer
         )
 
+    def _start_services(self) -> None:
+        """Background processes launched before the clients (none)."""
 
-class ClientServerWorkload:
+    def start(self) -> None:
+        """Launch the services and every client's process (idempotent)."""
+        if self._started:
+            return
+        self._started = True
+        self._start_services()
+        for i in range(self.params.clients):
+            self.system.env.process(self.client_process(i), name=f"client-{i}")
+
+    def measure(self) -> Tuple[Dict[str, float], Dict]:
+        """The cell's ``(metrics, raw)`` at the current simulated time."""
+        raise NotImplementedError
+
+    def collect_result(self) -> WorkloadResult:
+        """Assemble the result from the current simulation state."""
+        metrics, raw = self.measure()
+        return WorkloadResult(self.params, metrics, self.system.env.now, raw)
+
+    def run(self) -> WorkloadResult:
+        """Simulate until the stopping rule fires; return the metrics."""
+        env = self.system.env
+        self.start()
+        while True:
+            env.run(until=env.now + self.CHUNK)
+            if self.stopping.should_stop() or env.now >= self.MAX_TIME:
+                break
+        return self.collect_result()
+
+
+class ClientServerWorkload(CellWorkload):
     """Builds and runs the Fig 6 structure for one parameter cell."""
+
+    #: RNG stream names of client i's block timing and server picks.
+    TIMING_STREAM = "client.{}.timing"
+    PICK_STREAM = "client.{}.pick"
 
     def __init__(
         self,
@@ -101,14 +136,13 @@ class ClientServerWorkload:
         stopping: Optional[StoppingConfig] = None,
         tracer: Tracer = NULL_TRACER,
     ):
-        params.validate()
-        self.params = params
+        super().__init__(params, stopping=stopping, tracer=tracer)
         self.metrics = MetricsCollector(stopping)
-        self.system = self._build_system(params, tracer)
+        # The per-call observations feed the stopping rule.
+        self.stopping = self.metrics.stopping
         self.servers = self._place_servers()
         self.clients = self._place_clients()
         self.policy = self._build_policy()
-        self._started = False
 
     # -- construction -----------------------------------------------------------
 
@@ -172,66 +206,75 @@ class ClientServerWorkload:
         """Create the block; layered subclass attaches the alliance."""
         return MoveBlock(client.node_id, target)
 
+    def _move_block(self, client: DistributedObject, picker, plan):
+        """One move-block: move, the N calls, end.  Returns the block
+        whose calls and migration cost the metrics record."""
+        target = self._pick_server(picker)
+        origin = target.node_id
+        block = self._make_block(client, target)
+        yield from self.policy.move(block)
+        yield from self._block_body(client, block, plan)
+        yield from self.policy.end(block)
+        if (
+            self.params.block_style == "visit"
+            and block.granted
+            and target.node_id != origin
+            and not target.is_locked
+        ):
+            # Call-by-visit (§2.3): "a move and a migrate back".
+            # The return transfer is part of the block's migration
+            # cost, amortized over its calls like the outbound one.
+            t0 = self.system.env.now
+            yield from self.system.migrations.migrate([target], origin)
+            block.migration_cost += self.system.env.now - t0
+        return block
+
     def client_process(self, index: int):
         """The endless move-block loop of client ``index`` (§4.1)."""
         client = self.clients[index]
+        streams = self.system.streams
         timing = BlockTimingGenerator(
-            self.params, self.system.streams.stream(f"client.{index}.timing")
+            self.params, streams.stream(self.TIMING_STREAM.format(index))
         )
-        picker = self.system.streams.stream(f"client.{index}.pick")
-        visit = self.params.block_style == "visit"
+        picker = streams.stream(self.PICK_STREAM.format(index))
         while True:
             plan = timing.next_plan()
             if plan.lead_time > 0:
                 yield self.system.env.sleep(plan.lead_time)
-            target = self._pick_server(picker)
-            origin = target.node_id
-            block = self._make_block(client, target)
-            yield from self.policy.move(block)
-            yield from self._block_body(client, block, plan)
-            yield from self.policy.end(block)
-            if (
-                visit
-                and block.granted
-                and target.node_id != origin
-                and not target.is_locked
-            ):
-                # Call-by-visit (§2.3): "a move and a migrate back".
-                # The return transfer is part of the block's migration
-                # cost, amortized over its calls like the outbound one.
-                t0 = self.system.env.now
-                yield from self.system.migrations.migrate([target], origin)
-                block.migration_cost += self.system.env.now - t0
+            block = yield from self._move_block(client, picker, plan)
             self.metrics.record_block(block)
 
-    # -- execution --------------------------------------------------------------------
+    # -- result -----------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Launch every client's process (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for i in range(len(self.clients)):
-            self.system.env.process(
-                self.client_process(i), name=f"client-{i}"
-            )
-
-    def run(self) -> WorkloadResult:
-        """Simulate until the stopping rule fires; return the metrics."""
-        return WorkloadRunner(self).run()
+    def measure(self) -> Tuple[Dict[str, float], Dict]:
+        """The three §4.2.1 means, plus the metric, policy, network and
+        migration summaries."""
+        m = self.metrics
+        m.finalize(self.policy)
+        network = self.system.network
+        metrics = {
+            "mean_communication_time_per_call": (
+                m.mean_communication_time_per_call
+            ),
+            "mean_call_duration": m.mean_call_duration,
+            "mean_migration_time_per_call": m.mean_migration_time_per_call,
+        }
+        return metrics, {
+            "metrics": m.summary(),
+            "policy": self.policy.stats(),
+            "network": {
+                "remote_messages": network.remote_messages,
+                "local_messages": network.local_messages,
+            },
+            "migrations": self.system.migrations.migration_count,
+        }
 
 
 def run_cell(
-    params: SimulationParameters,
+    params,
     stopping: Optional[StoppingConfig] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> WorkloadResult:
-    """Convenience: build and run the right workload for ``params``.
-
-    Dispatches to the layered (Fig 7) workload when S2 > 0.
-    """
-    if params.is_layered:
-        from repro.workload.layered import LayeredWorkload
-
-        return LayeredWorkload(params, stopping=stopping, tracer=tracer).run()
-    return ClientServerWorkload(params, stopping=stopping, tracer=tracer).run()
+    """Build and run the workload ``params`` names (``params.workload``):
+    the one dispatch for every study's cells."""
+    return params.workload(params, stopping=stopping, tracer=tracer).run()

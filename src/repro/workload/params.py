@@ -135,6 +135,14 @@ class SimulationParameters:
         """Whether the Fig 7 two-layer structure applies."""
         return self.servers_layer2 > 0
 
+    @property
+    def workload(self) -> type:
+        """The workload class that simulates this cell (Fig 6 or 7)."""
+        from repro.workload.clientserver import ClientServerWorkload
+        from repro.workload.layered import LayeredWorkload
+
+        return LayeredWorkload if self.is_layered else ClientServerWorkload
+
     # -- derived deterministic placement ------------------------------------------------
 
     def client_node(self, client_index: int) -> int:

@@ -6,12 +6,12 @@ from repro.availability import (
     AvailabilityParameters,
     AvailabilityWorkload,
     FaultInjector,
-    run_availability_cell,
 )
 from repro.errors import ConfigurationError
 from repro.network.latency import DeterministicLatency
 from repro.runtime.system import DistributedSystem
 from repro.sim.stopping import StoppingConfig
+from repro.workload.clientserver import run_cell
 
 TINY = StoppingConfig(
     relative_precision=0.2,
@@ -113,7 +113,7 @@ class TestAvailabilityWorkload:
         assert len(nodes) == 3
 
     def test_cell_runs(self):
-        result = run_availability_cell(
+        result = run_cell(
             AvailabilityParameters(mttf=300.0, mttr=30.0, seed=1),
             stopping=TINY,
         )
@@ -125,11 +125,11 @@ class TestAvailabilityWorkload:
         base = dict(
             faults_enabled=False, group_op_fraction=1.0, seed=2
         )
-        collocated = run_availability_cell(
+        collocated = run_cell(
             AvailabilityParameters(placement="collocated", **base),
             stopping=TINY,
         )
-        spread = run_availability_cell(
+        spread = run_cell(
             AvailabilityParameters(placement="spread", **base),
             stopping=TINY,
         )
@@ -140,11 +140,11 @@ class TestAvailabilityWorkload:
         base = dict(
             mttf=200.0, mttr=50.0, group_op_fraction=0.0, seed=3
         )
-        collocated = run_availability_cell(
+        collocated = run_cell(
             AvailabilityParameters(placement="collocated", **base),
             stopping=TINY,
         )
-        spread = run_availability_cell(
+        spread = run_cell(
             AvailabilityParameters(placement="spread", **base),
             stopping=TINY,
         )
@@ -155,6 +155,6 @@ class TestAvailabilityWorkload:
 
     def test_reproducible(self):
         params = AvailabilityParameters(seed=7)
-        a = run_availability_cell(params, stopping=TINY)
-        b = run_availability_cell(params, stopping=TINY)
+        a = run_cell(params, stopping=TINY)
+        b = run_cell(params, stopping=TINY)
         assert a.mean_op_time == b.mean_op_time

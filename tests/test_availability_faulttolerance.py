@@ -6,10 +6,10 @@ from repro.availability import (
     FaultInjector,
     FaultToleranceParameters,
     FaultToleranceWorkload,
-    run_faulttolerance_cell,
 )
 from repro.errors import ConfigurationError
 from repro.runtime.system import DistributedSystem
+from repro.workload.clientserver import run_cell
 
 
 class TestParameters:
@@ -37,7 +37,7 @@ class TestWorkload:
     def test_fault_free_cell_runs_every_policy(self):
         durations = {}
         for policy in ("sedentary", "migration", "placement"):
-            result = run_faulttolerance_cell(
+            result = run_cell(
                 FaultToleranceParameters(policy=policy, sim_time=600.0)
             )
             assert result.completed_blocks > 0
@@ -61,16 +61,16 @@ class TestWorkload:
             sim_time=500.0,
             seed=11,
         )
-        a = run_faulttolerance_cell(params)
-        b = run_faulttolerance_cell(params)
+        a = run_cell(params)
+        b = run_cell(params)
         assert a.mean_call_duration == b.mean_call_duration
         assert a.completed_blocks == b.completed_blocks
         assert a.retries == b.retries
 
     def test_crashes_leak_locks_and_leases_reclaim_them(self):
         base = dict(policy="placement", mttf=100.0, sim_time=2_000.0)
-        unleased = run_faulttolerance_cell(FaultToleranceParameters(**base))
-        leased = run_faulttolerance_cell(
+        unleased = run_cell(FaultToleranceParameters(**base))
+        leased = run_cell(
             FaultToleranceParameters(lease_duration=60.0, **base)
         )
         # Both regimes saw crashes and abandoned blocks...
@@ -81,7 +81,7 @@ class TestWorkload:
         assert leased.locks_expired + leased.locks_broken > 0
 
     def test_loss_engages_retry_machinery(self):
-        result = run_faulttolerance_cell(
+        result = run_cell(
             FaultToleranceParameters(
                 policy="placement",
                 lease_duration=60.0,
@@ -140,7 +140,7 @@ class TestPoliciesOnAFaultySystem:
 
     def crash_cell(self, policy, lease_duration=None):
         results = [
-            run_faulttolerance_cell(
+            run_cell(
                 FaultToleranceParameters(
                     policy=policy,
                     lease_duration=lease_duration,
@@ -173,7 +173,7 @@ class TestPoliciesOnAFaultySystem:
 
     def test_retries_bound_latency_under_loss(self):
         base, worst = (
-            run_faulttolerance_cell(
+            run_cell(
                 FaultToleranceParameters(
                     policy="placement", lease_duration=60.0, loss=loss, seed=0
                 )

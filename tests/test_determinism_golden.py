@@ -13,10 +13,7 @@ import json
 
 import pytest
 
-from repro.availability.faulttolerance import (
-    FaultToleranceParameters,
-    run_faulttolerance_cell,
-)
+from repro.availability.faulttolerance import FaultToleranceParameters
 from repro.core.attachment import AttachmentManager, AttachmentMode
 from repro.errors import TimeoutError
 from repro.experiments.cache import CellCache
@@ -24,10 +21,7 @@ from repro.experiments.executor import ParallelExecutor
 from repro.experiments.figures import FIG16_BASE
 from repro.experiments.persistence import params_to_dict
 from repro.network.faults import LinkFaultModel
-from repro.replication.workload import (
-    ReplicationParameters,
-    run_replication_cell,
-)
+from repro.replication.workload import ReplicationParameters
 from repro.runtime.system import DistributedSystem
 from repro.sim.stopping import StoppingConfig
 from repro.sim.trace import Tracer
@@ -134,8 +128,15 @@ def _fingerprint(result):
 
 
 def _record_fingerprint(result):
-    """``_fingerprint`` for the studies whose result is a plain dataclass."""
-    return json.dumps(dataclasses.asdict(result), sort_keys=True, default=repr)
+    """``_fingerprint`` for the studies with their own named metrics: the
+    document their result dataclasses serialized to, one key per
+    metric beside ``params`` and ``raw``."""
+    document = {
+        "params": dataclasses.asdict(result.params),
+        **result.metrics,
+        "raw": result.raw,
+    }
+    return json.dumps(document, sort_keys=True, default=repr)
 
 
 def _set_migration_under_faults():
@@ -254,7 +255,7 @@ class TestGoldenMetrics:
         assert _sha(_fingerprint(result)) == expected
 
     def test_lossy_link_retry_cell_bit_identical(self):
-        result = run_faulttolerance_cell(
+        result = run_cell(
             FaultToleranceParameters(
                 policy="placement", loss=0.1, sim_time=1500.0, seed=4
             )
@@ -263,7 +264,7 @@ class TestGoldenMetrics:
         assert _sha(_record_fingerprint(result)) == GOLDEN_FT_LOSSY
 
     def test_mixed_draw_stream_cell_bit_identical(self):
-        result = run_replication_cell(
+        result = run_cell(
             ReplicationParameters(seed=2), stopping=StoppingConfig.fast()
         )
         assert _sha(_record_fingerprint(result)) == GOLDEN_REPLICATION

@@ -10,7 +10,7 @@ from repro.network.topology import FullyConnected, Grid, Ring
 from repro.runtime.system import DistributedSystem
 from repro.sim.kernel import Environment, Infinity
 from repro.sim.stats import RunningStats, TimeWeightedStats
-from repro.workload.clientserver import ClientServerWorkload, WorkloadRunner
+from repro.workload.clientserver import ClientServerWorkload
 from repro.workload.params import SimulationParameters
 
 
@@ -174,8 +174,8 @@ class TestWorkloadEdges:
 
     def test_runner_max_time_cap(self, tiny_stopping, monkeypatch):
         """The safety net fires if the stopping rule cannot converge."""
-        monkeypatch.setattr(WorkloadRunner, "MAX_TIME", 4_000.0)
+        monkeypatch.setattr(ClientServerWorkload, "MAX_TIME", 4_000.0)
         params = SimulationParameters(policy="sedentary", seed=0)
         workload = ClientServerWorkload(params)  # paper-tight stopping
         result = workload.run()
-        assert result.simulated_time <= 4_000.0 + WorkloadRunner.CHUNK
+        assert result.simulated_time <= 4_000.0 + ClientServerWorkload.CHUNK

@@ -107,7 +107,7 @@ class TestPublicApi:
         }
 
     def test_figures_registry(self):
-        # The paper's figures and the ablations beside them.
+        # The paper's figures, the ablations and the outlook studies.
         assert set(repro.FIGURES) == {
             "fig8",
             "fig10",
@@ -121,6 +121,10 @@ class TestPublicApi:
             "exclusive",
             "visit",
             "topology",
+            "replication",
+            "fragmentation",
+            "availability",
+            "faulttolerance",
         }
 
     def test_subpackages_importable(self):

@@ -1,6 +1,7 @@
 """CLI flag coverage: --plot, --json, outlook studies, error paths."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -202,16 +203,78 @@ class TestCheckFlag:
 
     def test_outlook_check_prints_verdicts(self, monkeypatch, capsys):
         import repro.experiments.cli as cli
+        from repro.experiments.runner import ExperimentResult
+        from repro.workload.clientserver import WorkloadResult
 
-        def fake_sweep(seed=0, stopping=None):
-            return ["read_ratio", "none", "eager", "threshold"], [
-                [0.99, 1.75, 0.4, 0.9],
-                [0.5, 1.75, 1.8, 1.8],
-            ]
+        def fake_run_figure(definition, **_):
+            definition = replace(definition, x_values=(0.99, 0.5))
+            columns = {
+                "none": [1.75, 1.75],
+                "eager": [0.4, 1.8],
+                "threshold": [0.9, 1.8],
+            }
+            return ExperimentResult(
+                definition,
+                {
+                    label: [
+                        WorkloadResult(None, {"mean_op_time": y}, 0.0)
+                        for y in ys
+                    ]
+                    for label, ys in columns.items()
+                },
+            )
 
-        monkeypatch.setitem(cli.OUTLOOK_STUDIES, "replication", fake_sweep)
+        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
         rc = main(["replication", "--check"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "outlook:replication" in out
+        assert "replication: Replication vs Read Ratio" in out
         assert out.count("[PASS]") == 4 and out.count("[FAIL]") == 1
+
+
+class TestOutlookFlags:
+    """The outlook studies read the same flags as the figures."""
+
+    def test_csv_flag_writes_the_outlook_table(self, tmp_path):
+        path = tmp_path / "replication.csv"
+        assert main(["replication", "--fast", "--csv", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "read_ratio,none,eager,threshold"
+        assert len(lines) == 7
+
+    def test_warm_cache_rerun_executes_no_cells(self, monkeypatch, tmp_path):
+        import repro.experiments.cli as cli
+
+        executors = []
+
+        class Recording(cli.ParallelExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(cli, "ParallelExecutor", Recording)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["fragmentation", "--fast", "--cache", "--workers", "2"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        cold, warm = executors
+        assert cold.cells_executed == 8
+        assert warm.cells_executed == 0
+        assert warm.cache_hits == 8
+
+
+class TestTelemetryFlag:
+    def test_faulttolerance_telemetry_artifacts_validate(
+        self, tmp_path, capsys
+    ):
+        from repro.telemetry.validate import main as validate_main
+
+        out_dir = tmp_path / "telemetry"
+        assert main(["faulttolerance", "--telemetry", str(out_dir)]) == 0
+        artifacts = [
+            out_dir / name
+            for name in ("trace.json", "metrics.jsonl", "spans.jsonl")
+        ]
+        capsys.readouterr()
+        assert validate_main([str(path) for path in artifacts]) == 0
+        assert capsys.readouterr().out.count(": OK") == 3

@@ -151,21 +151,19 @@ class TestVerification:
 
     def test_registry_covers_every_figure(self):
         from repro.experiments.figures import FIGURES
-        from repro.experiments.outlook import OUTLOOK_STUDIES
 
-        assert set(FIGURES) <= set(PAPER_EXPECTATIONS)
-        assert set(PAPER_EXPECTATIONS) <= set(FIGURES) | set(OUTLOOK_STUDIES)
+        assert set(FIGURES) == set(PAPER_EXPECTATIONS)
 
     def test_outlook_rows_are_checked_by_the_same_claims(self):
-        from repro.experiments.outlook import OutlookTable
-
-        table = OutlookTable(
-            "replication",
-            ["read_ratio", "none", "eager", "threshold"],
-            [[0.99, 1.75, 0.4, 0.9], [0.5, 1.75, 3.3, 1.8]],
-        )
+        columns = {
+            "none": [1.75, 1.75],
+            "eager": [0.4, 3.3],
+            "threshold": [0.9, 1.8],
+        }
+        table = fake_result(columns, (0.99, 0.5), exp_id="replication")
         verdicts = verify_expectations(table)
         assert len(verdicts) == len(PAPER_EXPECTATIONS["replication"])
         assert all(v.passed for v in verdicts), [str(v) for v in verdicts]
-        table.rows[1][2] = 1.9  # eager no longer thrashes
+        columns["eager"][1] = 1.9  # eager no longer thrashes
+        table = fake_result(columns, (0.99, 0.5), exp_id="replication")
         assert not all(v.passed for v in verify_expectations(table))

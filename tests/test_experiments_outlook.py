@@ -1,17 +1,14 @@
-"""Tests for the outlook-study sweeps and their CLI integration."""
+"""Tests for the outlook studies' experiment definitions and their CLI."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.cli import main
-from repro.experiments.outlook import (
-    OUTLOOK_STUDIES,
-    availability_sweep,
-    faulttolerance_sweep,
-    format_outlook_table,
-    fragmentation_sweep,
-    replication_sweep,
-    run_outlook,
-)
+from repro.experiments.cli import build_parser, main
+from repro.experiments.config import SeriesDef
+from repro.experiments.figures import FIGURES, make_figure
+from repro.experiments.outlook import format_outlook_table
+from repro.experiments.runner import ShardedRunner, run_figure
 from repro.sim.stopping import StoppingConfig
 
 TINY = StoppingConfig(
@@ -24,11 +21,21 @@ TINY = StoppingConfig(
 )
 
 
+def run_study(name, x_values, stopping=TINY, **overrides):
+    """One outlook study on a shorter grid, its cells overridden."""
+    definition = make_figure(name)
+    series = tuple(
+        SeriesDef(s.label, lambda x, cell=s.cell: replace(cell(x), **overrides))
+        for s in definition.series
+    )
+    definition = replace(definition, x_values=x_values, series=series)
+    result = run_figure(definition, stopping=stopping)
+    return [definition.x_label] + result.labels, result.as_table()
+
+
 class TestSweeps:
     def test_replication_shape(self):
-        header, rows = replication_sweep(
-            stopping=TINY, read_ratios=(0.99, 0.5)
-        )
+        header, rows = run_study("replication", (0.99, 0.5))
         assert header == ["read_ratio", "none", "eager", "threshold"]
         assert len(rows) == 2
         assert all(len(r) == 4 for r in rows)
@@ -38,24 +45,20 @@ class TestSweeps:
         assert eager_readheavy < eager_writeheavy
 
     def test_fragmentation_shape(self):
-        header, rows = fragmentation_sweep(
-            stopping=TINY, fragment_counts=(1, 4), clients=8
-        )
+        header, rows = run_study("fragmentation", (1.0, 4.0), clients=8)
         assert header == ["fragments", "migration", "placement"]
         k1_migration, k4_migration = rows[0][1], rows[1][1]
         assert k4_migration < k1_migration
 
     def test_availability_shape(self):
-        header, rows = availability_sweep(
-            stopping=TINY, mixes=(0.0, 1.0)
-        )
+        header, rows = run_study("availability", (0.0, 1.0))
         assert header == ["group_op_fraction", "collocated", "spread"]
         # Chains favor collocation.
         assert rows[1][1] < rows[1][2]
 
     def test_faulttolerance_shape(self):
-        header, rows = faulttolerance_sweep(
-            losses=(0.0, 0.05), sim_time=1_500.0
+        header, rows = run_study(
+            "faulttolerance", (0.0, 0.05), stopping=None, sim_time=1_500.0
         )
         assert header == ["loss", "sedentary", "migration", "placement"]
         assert len(rows) == 2
@@ -64,18 +67,21 @@ class TestSweeps:
         assert all(v > 0 for r in rows for v in r[1:])
 
     def test_registry(self):
-        assert set(OUTLOOK_STUDIES) == {
-            "replication",
-            "fragmentation",
-            "availability",
-            "faulttolerance",
-            "chaos",
-            "deploy",
-        }
+        studies = {"replication", "fragmentation", "availability"}
+        assert studies | {"faulttolerance"} <= set(FIGURES)
+        parser = build_parser()
+        for name in sorted(studies) + ["faulttolerance", "chaos", "deploy"]:
+            assert parser.parse_args([name]).figure == name
 
     def test_run_outlook_unknown(self):
-        with pytest.raises(ValueError, match="unknown outlook study"):
-            run_outlook("teleportation")
+        with pytest.raises(ValueError, match="unknown figure"):
+            make_figure("teleportation")
+
+    def test_sharded_runner_runs_outlook_cells_unsharded(self):
+        definition = replace(make_figure("replication"), x_values=(0.5,))
+        sharded = ShardedRunner(2, stopping=TINY).run(definition)
+        plain = run_figure(definition, stopping=TINY)
+        assert sharded.as_table() == plain.as_table()
 
 
 class TestFormatting:
@@ -95,5 +101,5 @@ class TestCli:
         rc = main(["replication", "--fast"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "outlook:replication" in out
+        assert "replication: Replication vs Read Ratio" in out
         assert "eager" in out

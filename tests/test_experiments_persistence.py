@@ -4,17 +4,22 @@ import json
 
 import pytest
 
+from repro.availability import FaultToleranceParameters
 from repro.core.attachment import AttachmentMode
 from repro.experiments.config import ExperimentDef, SeriesDef
 from repro.experiments.persistence import (
     FORMAT_VERSION,
     load_result,
+    params_from_dict,
+    params_to_dict,
     result_from_dict,
     result_to_dict,
     save_result,
 )
 from repro.experiments.runner import ExperimentResult, run_figure
+from repro.runtime.retry import RetryPolicy
 from repro.sim.stopping import StoppingConfig
+from repro.workload.clientserver import WorkloadResult
 from repro.workload.params import SimulationParameters
 
 TINY = StoppingConfig(
@@ -86,3 +91,34 @@ class TestRoundTrip:
         raw = back.results["placement"][0].raw
         assert raw["policy"]["policy"] == "placement"
         assert "metrics" in raw
+
+
+class TestOutlookCells:
+    PARAMS = FaultToleranceParameters(
+        loss=0.05, retry=RetryPolicy(max_attempts=6, timeout=4.0)
+    )
+
+    def test_nested_dataclass_field_round_trips(self):
+        data = json.loads(json.dumps(params_to_dict(self.PARAMS)))
+        assert data["retry"]["max_attempts"] == 6
+        assert params_from_dict(data, FaultToleranceParameters) == self.PARAMS
+
+    def test_file_round_trip_keeps_the_parameter_class(self, tmp_path):
+        definition = ExperimentDef(
+            exp_id="ft",
+            title="Fault tolerance",
+            x_label="loss",
+            x_values=(0.05,),
+            series=(SeriesDef("placement", lambda x: self.PARAMS),),
+            metric="mean_call_duration",
+        )
+        cell = WorkloadResult(
+            self.PARAMS, {"mean_call_duration": 1.5, "retries": 3}, 10.0
+        )
+        result = ExperimentResult(definition, {"placement": [cell]})
+        back = load_result(save_result(result, tmp_path / "ft.json"))
+        loaded = back.results["placement"][0]
+        assert loaded.params == self.PARAMS
+        assert back.series("placement") == [1.5]
+        assert loaded.retries == 3
+

@@ -28,9 +28,11 @@ def fake_result(
         result.results[label] = [
             WorkloadResult(
                 params=params,
-                mean_communication_time_per_call=y,
-                mean_call_duration=y,
-                mean_migration_time_per_call=0.0,
+                metrics={
+                    "mean_communication_time_per_call": y,
+                    "mean_call_duration": y,
+                    "mean_migration_time_per_call": 0.0,
+                },
                 simulated_time=0.0,
             )
             for y in ys

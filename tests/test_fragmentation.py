@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fragmentation import (
-    FragmentationParameters,
-    FragmentationWorkload,
-    run_fragmentation_cell,
-)
+from repro.fragmentation import FragmentationParameters, FragmentationWorkload
 from repro.sim.stopping import StoppingConfig
+from repro.workload.clientserver import run_cell
 
 TINY = StoppingConfig(
     relative_precision=0.2,
@@ -86,7 +83,7 @@ class TestStructure:
 
 class TestExecution:
     def test_cell_runs(self):
-        result = run_fragmentation_cell(
+        result = run_cell(
             FragmentationParameters(
                 policy="placement", clients=4, fragments_per_object=2, seed=1
             ),
@@ -98,8 +95,8 @@ class TestExecution:
 
     def test_reproducible(self):
         params = FragmentationParameters(policy="migration", seed=9)
-        a = run_fragmentation_cell(params, stopping=TINY)
-        b = run_fragmentation_cell(params, stopping=TINY)
+        a = run_cell(params, stopping=TINY)
+        b = run_cell(params, stopping=TINY)
         assert (
             a.mean_communication_time_per_call
             == b.mean_communication_time_per_call
@@ -115,13 +112,13 @@ class TestExecution:
 
     def test_finer_fragments_reduce_conflict_cost(self):
         """The outlook's core claim at test scale."""
-        coarse = run_fragmentation_cell(
+        coarse = run_cell(
             FragmentationParameters(
                 policy="migration", clients=12, fragments_per_object=1, seed=3
             ),
             stopping=TINY,
         )
-        fine = run_fragmentation_cell(
+        fine = run_cell(
             FragmentationParameters(
                 policy="migration", clients=12, fragments_per_object=4, seed=3
             ),

@@ -1,8 +1,8 @@
 """End-to-end acceptance: every registered experiment meets its claims.
 
-Each figure and ablation of :data:`~repro.experiments.figures.FIGURES`
-runs at seed 0 on its thinned (``fast``) grid under
-``StoppingConfig.fast()``, and every claim
+Each figure, ablation and outlook study of
+:data:`~repro.experiments.figures.FIGURES` runs at seed 0 on its thinned
+(``fast``) grid under ``StoppingConfig.fast()``, and every claim
 :data:`~repro.experiments.expectations.PAPER_EXPECTATIONS` states about
 it must pass.  ``repro-experiment all --fast --check`` runs the same
 check from the command line.  The per-figure classes below name the

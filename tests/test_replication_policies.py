@@ -15,10 +15,10 @@ from repro.replication.service import ReplicationService
 from repro.replication.workload import (
     ReplicationParameters,
     ReplicationWorkload,
-    run_replication_cell,
 )
 from repro.runtime.system import DistributedSystem
 from repro.sim.stopping import StoppingConfig
+from repro.workload.clientserver import run_cell
 
 TINY = StoppingConfig(
     relative_precision=0.2,
@@ -120,7 +120,7 @@ class TestWorkload:
         ReplicationParameters().validate()
 
     def test_cell_runs_and_reports(self):
-        result = run_replication_cell(
+        result = run_cell(
             ReplicationParameters(policy="eager", read_ratio=0.9, seed=1),
             stopping=TINY,
         )
@@ -130,17 +130,17 @@ class TestWorkload:
 
     def test_reproducible(self):
         params = ReplicationParameters(policy="threshold", seed=5)
-        a = run_replication_cell(params, stopping=TINY)
-        b = run_replication_cell(params, stopping=TINY)
+        a = run_cell(params, stopping=TINY)
+        b = run_cell(params, stopping=TINY)
         assert a.mean_op_time == b.mean_op_time
 
     def test_outlook_shape_read_heavy(self):
         """Eager replication beats no-replication when reads dominate."""
-        eager = run_replication_cell(
+        eager = run_cell(
             ReplicationParameters(policy="eager", read_ratio=0.99, seed=2),
             stopping=TINY,
         )
-        none = run_replication_cell(
+        none = run_cell(
             ReplicationParameters(policy="none", read_ratio=0.99, seed=2),
             stopping=TINY,
         )
@@ -149,11 +149,11 @@ class TestWorkload:
     def test_outlook_shape_write_heavy(self):
         """The §5 hazard: eager replication LOSES to no replication
         under write-heavy sharing (invalidation thrash)."""
-        eager = run_replication_cell(
+        eager = run_cell(
             ReplicationParameters(policy="eager", read_ratio=0.5, seed=2),
             stopping=TINY,
         )
-        none = run_replication_cell(
+        none = run_cell(
             ReplicationParameters(policy="none", read_ratio=0.5, seed=2),
             stopping=TINY,
         )

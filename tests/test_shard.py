@@ -16,6 +16,7 @@ from repro.network.latency import (
     ShiftedExponentialLatency,
 )
 from repro.network.shardrouter import ShardRouter
+from repro.replication import ReplicationParameters
 from repro.sim.kernel import _SLEEP_POOL_MAX, Environment
 from repro.sim.rng import RandomStreams
 from repro.sim.shard.hotspot import hotspot_params, hotspot_plan
@@ -146,6 +147,7 @@ class TestEffectiveShards:
         assert effective_shards(layered, 4) == 1
         visit = make_params(block_style="visit")
         assert effective_shards(visit, 4) == 1
+        assert effective_shards(ReplicationParameters(), 4) == 1
 
 
 class TestMessages:
