@@ -4,23 +4,22 @@ PYTHON ?= python
 
 .PHONY: install test test-faults test-chaos test-telemetry \
         test-versioning test-shard test-live test-wal test-kill-smoke \
-        bench bench-kernel \
-        bench-shard bench-suite claims figures figures-paper examples clean
+        bench bench-kernel bench-suite claims figures figures-paper examples clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 test-output:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
 # The fault-tolerance layer (loss, retry, rollback, leases) end to end.
 # Workload seeds are fixed inside the tests; the hypothesis suite gets a
 # pinned derandomized profile so this target is fully reproducible.
 test-faults:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  --hypothesis-seed=0 \
 	  tests/test_network_faults.py tests/test_runtime_retry.py \
 	  tests/test_runtime_migration_abort.py tests/test_core_leases.py \
@@ -30,14 +29,14 @@ test-faults:
 # every built-in scenario must survive with invariants held, and the
 # heartbeat detector must be bit-identical to the oracle when fault-free.
 test-chaos:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  tests/test_runtime_failure.py tests/test_sim_invariants.py \
 	  tests/test_chaos.py tests/test_detector_golden.py
 
 # The telemetry subsystem: metric instruments, span lifecycle,
 # exporters, and the end-to-end wiring through the runtime stack.
 test-telemetry:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  tests/test_telemetry_metrics.py tests/test_telemetry_spans.py \
 	  tests/test_telemetry_export.py tests/test_telemetry_integration.py \
 	  tests/test_sim_trace.py
@@ -46,17 +45,18 @@ test-telemetry:
 # planner, the deployer's checkpoint/rollback machinery, the three
 # deploy scenarios and the hypothesis restore properties (pinned seed).
 test-versioning:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  --hypothesis-seed=0 \
 	  tests/test_versioning_diff.py tests/test_versioning_planner.py \
 	  tests/test_versioning_deployer.py tests/test_versioning_study.py \
 	  tests/test_prop_versioning.py tests/test_errors_pickle.py
 
 # The sharded kernel: partition plans, window messages, the router,
-# both execution backends, and the determinism/statistics contract
-# (shards=1 bit-identity, inline == process, closed-form round trip).
+# and the determinism/statistics contract (shards=1 bit-identity, a
+# pooled or cached plan == an inline one, closed-form round trip, the
+# hot-spot cell agreeing at N and N/2 shards).
 test-shard:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  tests/test_shard.py tests/test_shard_determinism.py
 
 # The live runtime backend: Clock/Transport seam contracts, framing
@@ -66,7 +66,7 @@ test-shard:
 # hard wall-clock watchdog).  Writes the sim-vs-measured report to
 # live_report.json (the CI artifact).
 test-live:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  --hypothesis-seed=0 \
 	  tests/test_runtime_clock.py tests/test_live_framing.py \
 	  tests/test_live_transport.py tests/test_live_degradation.py \
@@ -81,7 +81,7 @@ test-live:
 # suite, which SIGKILLs a real arbiter mid-migration under both
 # arbitration modes and checks the in-doubt settlement verdicts.
 test-wal:
-	$(PYTHON) -m pytest -q -p no:randomly \
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	  --hypothesis-seed=0 \
 	  tests/test_live_wal.py tests/test_prop_wal.py \
 	  tests/test_live_recovery.py
@@ -97,7 +97,7 @@ test-kill-smoke:
 	for mode in central home; do \
 	  failed=0; \
 	  for run in $$(seq $(KILL_SMOKE_RUNS)); do \
-	    if ! $(PYTHON) -m pytest -q -p no:randomly \
+	    if ! PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
 	        "$(KILL_SMOKE)::test_arbiter_death_is_survived[$$mode]" \
 	        > $$log 2>&1; then \
 	      failed=$$((failed + 1)); \
@@ -125,14 +125,8 @@ bench-kernel:
 	@status=$$(git status --porcelain) && test -z "$$status" || { \
 	  echo "bench-kernel: BENCH_kernel.json needs a clean git tree;" \
 	    "commit or stash first" >&2; exit 1; }
-	$(PYTHON) -m pytest benchmarks/bench_kernel.py --benchmark-only \
-	  --benchmark-json=BENCH_kernel.json
-
-# Sharded-kernel scaling, speedup and hot-spot capacity, with
-# machine-readable results at the repo root (BENCH_shard.json).
-bench-shard:
-	$(PYTHON) -m pytest benchmarks/bench_shard.py --benchmark-only \
-	  -p no:randomly --benchmark-json=BENCH_shard.json
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernel.py \
+	  --benchmark-only --benchmark-json=BENCH_kernel.json
 
 # The trusted suite's plumbing (BENCHMARK.json, benchmarks/suite/): a
 # < 30 s smoke of all five workloads plus the suite's own tests, so

@@ -14,7 +14,7 @@ or the installed release addresses a different entry — stale hits are
 structurally impossible without manual tampering.  Values are
 serialized :class:`~repro.workload.clientserver.WorkloadResult`
 documents (one JSON file per cell, in the persistence codec), for the
-figures' cells and the outlook studies' alike.
+figures' cells, their sharded plans and the outlook studies' alike.
 
 The cache directory resolves, in order, to an explicit ``root``
 argument, the ``REPRO_CACHE_DIR`` environment variable, and finally

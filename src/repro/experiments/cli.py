@@ -143,9 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="figures only: partition every cell across N kernel "
+        help="partition every cell that can split across N kernel "
         "instances under conservative time-window synchronization "
-        "(1 = the unsharded kernel, bit-identical results)",
+        "(1 = the unsharded kernel); cells still fan out over "
+        "--workers and are cached by --cache",
     )
     parser.add_argument(
         "--cache",
@@ -351,9 +352,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    if args.figure == "live":
-        return _run_live(args)
-
+    # The experiment sweeps read the output and execution flags, the
+    # live demo reads --json and --fast, and the scenario tables and
+    # instrumented (--telemetry) runs read none of them.
+    sweeps = (*FIGURES, "all") if args.telemetry is None else ()
+    sweep_only = (
+        "only applies to experiment runs (figN, ablations, outlook "
+        "studies or 'all') without --telemetry"
+    )
     # (flag given, the commands it applies to, the error otherwise)
     for given, commands, error in (
         (
@@ -364,24 +370,39 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
         (
             args.telemetry is not None,
-            ("faulttolerance", "chaos", "deploy", "telemetry"),
-            "--telemetry only applies to faulttolerance, chaos, deploy "
-            "and telemetry runs",
+            ("faulttolerance", "chaos", "deploy", "telemetry", "live"),
+            "--telemetry only applies to faulttolerance, chaos, deploy, "
+            "telemetry and live runs",
         ),
         (
             args.markdown is not None,
             ("deploy",),
             "--markdown only applies to the deploy study",
         ),
+        (args.shards != 1, sweeps, f"--shards {sweep_only}"),
+        (args.csv is not None, sweeps, f"--csv {sweep_only}"),
+        (args.plot, sweeps, f"--plot {sweep_only}"),
+        (args.check, sweeps, f"--check {sweep_only}"),
+        (args.cache, sweeps, f"--cache {sweep_only}"),
+        (args.workers != 1, sweeps, f"--workers {sweep_only}"),
+        (args.paper_precision, sweeps, f"--paper-precision {sweep_only}"),
         (
-            args.shards != 1,
-            (*FIGURES, "all"),
-            "--shards only applies to figure runs (figN or 'all')",
+            args.json is not None,
+            (*sweeps, "live"),
+            f"--json {sweep_only}, or to the live demo",
+        ),
+        (
+            args.fast,
+            (*sweeps, "live"),
+            f"--fast {sweep_only}, or to the live demo",
         ),
     ):
         if given and args.figure not in commands:
             print(error, file=sys.stderr)
             return 2
+
+    if args.figure == "live":
+        return _run_live(args)
 
     if args.scenario is not None:
         # A deploy scenario for deploy, a chaos scenario otherwise.
@@ -439,15 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shards < 1:
         print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    sharded = args.shards > 1
-    if sharded and args.cache:
-        print(
-            "--cache keys on parameters alone; sharded results are not "
-            "interchangeable with unsharded ones, so --cache cannot be "
-            "combined with --shards > 1",
-            file=sys.stderr,
-        )
-        return 2
 
     cache = None
     if args.cache:
@@ -457,13 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # One executor for the whole invocation: the process pool (and the
     # cache-hit counters) are shared across every figure.
     executor = ParallelExecutor(workers=args.workers, cache=cache)
-    sharded_runner = None
-    if sharded:
-        from repro.experiments.runner import ShardedRunner
-
-        sharded_runner = ShardedRunner(
-            args.shards, stopping=stopping, workers=args.workers
-        )
 
     status = 0
     for name in names:
@@ -471,13 +476,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"running {definition.exp_id}: {definition.cell_count()} cells "
             f"({len(definition.series)} series x {len(definition.x_values)} points)"
-            + (f" across {args.shards} shards" if sharded else ""),
+            + (f" across {args.shards} shards" if args.shards > 1 else ""),
             file=sys.stderr,
         )
-        if sharded:
-            result = sharded_runner.run(definition)
-        else:
-            result = run_figure(definition, stopping=stopping, executor=executor)
+        result = run_figure(
+            definition, stopping=stopping, executor=executor, shards=args.shards
+        )
         print(format_table(result))
         print()
         if args.plot:

@@ -19,7 +19,8 @@ they now share:
   a checkable property.
 
 A cell is any parameter dataclass that names its workload — a
-figure's, an ablation's or an outlook study's — and every cell runs
+figure's, an ablation's, an outlook study's or a sharded
+:class:`~repro.sim.shard.partition.ShardPlan` — and every cell runs
 through :func:`~repro.workload.clientserver.run_cell`.
 Results are always full
 :class:`~repro.workload.clientserver.WorkloadResult` objects in job
@@ -73,11 +74,11 @@ def resolve_workers(workers: Workers) -> int:
     ``"auto"`` resolves to :func:`os.cpu_count`, clamped to at least 1
     (containers may report 0/None cores).  The ``REPRO_MAX_WORKERS``
     environment variable caps the result — both the ``"auto"``
-    resolution and explicit requests — so sharded and pooled runs
-    degrade gracefully on small machines instead of oversubscribing.
+    resolution and explicit requests — so pooled runs degrade
+    gracefully on small machines instead of oversubscribing.
     Anything that is not ``"auto"`` or an integer >= 1 raises
     :class:`ValueError` — the same rejection everywhere (CLI, runner,
-    replications, grid, sharded runner).
+    replications, grid).
     """
     cap = max_workers_cap()
     if workers == "auto":

@@ -78,9 +78,14 @@ def cell_to_dict(result: WorkloadResult) -> dict:
 
 
 def cell_from_dict(data: dict, params=None) -> WorkloadResult:
-    """Rebuild a cell's result from :func:`cell_to_dict`; a caller that
-    already holds the cell's ``params`` (a cache lookup) passes them."""
-    if params is None:
+    """Rebuild a cell's result from :func:`cell_to_dict`.
+
+    A caller that already holds the cell's ``params`` (a cache lookup)
+    passes them; they are decoded from the document when absent or of
+    another class than the result's (a sharded plan's result carries
+    the plan's global cell).
+    """
+    if params is None or params_type(params) != data["params_type"]:
         params = params_from_dict(
             data["params"], _params_class(data["params_type"])
         )

@@ -3,8 +3,10 @@
 Cells are independent simulations, so the runner fans them out through
 the shared :class:`~repro.experiments.executor.ParallelExecutor`
 (``workers > 1``), optionally answering unchanged cells from the
-content-addressed :class:`~repro.experiments.cache.CellCache`.  Results
-come back as an :class:`ExperimentResult`: per-series lists of
+content-addressed :class:`~repro.experiments.cache.CellCache`.  With
+``shards > 1`` every cell that can split runs as a
+:class:`~repro.sim.shard.partition.ShardPlan` on the same executor and
+cache.  Results come back as an :class:`ExperimentResult`: per-series lists of
 :class:`~repro.workload.clientserver.WorkloadResult` aligned with the
 definition's x-values, plus helpers for extracting plottable series.
 """
@@ -79,6 +81,12 @@ class ExperimentRunner:
         when an ``executor`` is supplied (the executor's cache wins).
     executor:
         Pre-built :class:`ParallelExecutor` to share across figures.
+    shards:
+        Kernel instances per cell; ``1`` runs every cell unsharded.
+        Above 1, each cell runs as
+        :func:`~repro.sim.shard.partition.sharded_cell` plans it: cells
+        too small to split (or of a shape the sharded kernel does not
+        cover) run on fewer shards or unsharded.
     """
 
     def __init__(
@@ -87,11 +95,13 @@ class ExperimentRunner:
         workers: Workers = 1,
         cache=None,
         executor: Optional[ParallelExecutor] = None,
+        shards: int = 1,
     ):
         if executor is None:
             executor = ParallelExecutor(workers=workers, cache=cache)
         self.stopping = stopping
         self.executor = executor
+        self.shards = shards
 
     @property
     def workers(self) -> int:
@@ -102,6 +112,13 @@ class ExperimentRunner:
         """Execute every cell of the definition."""
         cells = definition.cells()
         jobs = [(params, self.stopping) for _, _, params in cells]
+        if self.shards > 1:
+            from repro.sim.shard.partition import sharded_cell
+
+            jobs = [
+                (sharded_cell(params, self.shards), stopping)
+                for params, stopping in jobs
+            ]
         outcomes = self.executor.run_cells(jobs)
 
         result = ExperimentResult(definition=definition)
@@ -116,66 +133,13 @@ def run_figure(
     workers: Workers = 1,
     cache=None,
     executor: Optional[ParallelExecutor] = None,
+    shards: int = 1,
 ) -> ExperimentResult:
     """Convenience one-shot wrapper around :class:`ExperimentRunner`."""
     return ExperimentRunner(
-        stopping=stopping, workers=workers, cache=cache, executor=executor
+        stopping=stopping,
+        workers=workers,
+        cache=cache,
+        executor=executor,
+        shards=shards,
     ).run(definition)
-
-
-class ShardedRunner:
-    """Figure runner executing every cell through the sharded kernel.
-
-    The parallelism axis moves *inside* each cell: instead of fanning
-    whole cells across a process pool, each cell's node graph is
-    partitioned into ``shards`` kernel instances advancing under
-    conservative time-window synchronization (see
-    :mod:`repro.sim.shard`).  Cells therefore run sequentially here —
-    the worker processes are busy hosting shards.
-
-    Results are :class:`~repro.sim.shard.runner.ShardedResult` objects,
-    attribute-compatible with ``WorkloadResult``, so the returned
-    :class:`ExperimentResult` plots/reports identically.  With
-    ``shards == 1`` every cell runs on the unsharded kernel and the
-    figures are bit-identical to :class:`ExperimentRunner`'s.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        stopping: Optional[StoppingConfig] = None,
-        workers: Workers = "auto",
-        remote_fraction: float = 0.05,
-        base_latency: float = 2.0,
-        backend: str = "auto",
-    ):
-        from repro.sim.shard.partition import effective_shards
-        from repro.sim.shard.runner import run_sharded_cell
-
-        self._run_cell = run_sharded_cell
-        self._effective_shards = effective_shards
-        self.shards = shards
-        self.stopping = stopping
-        self.workers = workers
-        self.remote_fraction = remote_fraction
-        self.base_latency = base_latency
-        self.backend = backend
-
-    def run(self, definition: ExperimentDef) -> ExperimentResult:
-        """Execute every cell of the definition, sharded."""
-        result = ExperimentResult(definition=definition)
-        for label, _x, params in definition.cells():
-            # Cells too small (or of a shape the sharded kernel does
-            # not cover) degrade to fewer shards instead of failing
-            # the sweep — a 1-client Fig 12 cell runs unsharded.
-            outcome = self._run_cell(
-                params,
-                self._effective_shards(params, self.shards),
-                self.stopping,
-                remote_fraction=self.remote_fraction,
-                base_latency=self.base_latency,
-                backend=self.backend,
-                workers=self.workers,
-            )
-            result.results.setdefault(label, []).append(outcome)
-        return result

@@ -19,13 +19,18 @@ Layout
     :class:`ShardKernel` — one shard's services bundle (environment,
     RNG streams, tracer, system, workload slice, remote-call handlers).
 :mod:`~repro.sim.shard.sync`
-    The conservative window-barrier coordinator and the in-process
-    backend.
-:mod:`~repro.sim.shard.mp`
-    The multiprocess backend (worker processes hosting shard groups).
+    :class:`ConservativeWindowSync` — the window-barrier coordinator,
+    advancing every shard's kernel inline in shard-id order.
 :mod:`~repro.sim.shard.runner`
     :func:`run_sharded_cell` / :class:`ShardedResult` — the public
-    entry point and the merged result.
+    entry point and the merged result — and :class:`ShardedWorkload`,
+    the workload a plan names, so
+    :func:`~repro.workload.clientserver.run_cell` runs a plan like any
+    other cell.
+
+Parallelism is across cells, not inside one: ``repro-experiment
+--shards N --workers W`` runs each cell's plan on one of the
+experiment executor's W pool workers.
 """
 
 from repro._exports import lazy_exports
@@ -35,17 +40,14 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".kernel": ("ShardKernel",),
         ".messages": ("RemoteCall", "RemoteReply", "WindowBatch"),
-        ".mp": ("ProcessShardHost",),
         ".partition": ("ShardPlan",),
         ".runner": ("ShardedResult", "merge_traces", "run_sharded_cell"),
-        ".sync": ("ConservativeWindowSync", "LocalShardHost"),
+        ".sync": ("ConservativeWindowSync",),
     },
 )
 
 __all__ = [
     "ConservativeWindowSync",
-    "LocalShardHost",
-    "ProcessShardHost",
     "RemoteCall",
     "RemoteReply",
     "ShardKernel",

@@ -85,16 +85,12 @@ def run_hotspot(
     scale: float = 1.0,
     seed: int = 0,
     stopping: Optional[StoppingConfig] = None,
-    backend: str = "auto",
-    workers=None,
 ) -> ShardedResult:
     """Run the hot-spot scenario sharded; returns the merged result."""
     plan = hotspot_plan(shards, scale=scale, seed=seed)
     return run_sharded_cell(
         plan,
         stopping=stopping if stopping is not None else StoppingConfig.fast(),
-        backend=backend,
-        workers=workers,
         poll_interval=HOTSPOT_POLL_INTERVAL,
     )
 
@@ -111,19 +107,13 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--scale", type=float, default=0.001)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--backend", choices=("auto", "inline", "process"), default="auto"
-    )
     args = parser.parse_args(argv)
 
-    result = run_hotspot(
-        args.shards, scale=args.scale, seed=args.seed, backend=args.backend
-    )
+    result = run_hotspot(args.shards, scale=args.scale, seed=args.seed)
     print(
         json.dumps(
             {
                 "shards": result.shards,
-                "backend": result.backend,
                 "clients": result.params.clients,
                 "servers": result.params.servers_layer1,
                 "windows": result.windows,

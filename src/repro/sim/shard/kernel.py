@@ -8,7 +8,7 @@ own :class:`~repro.sim.trace.Tracer`, and a full
 :class:`~repro.runtime.system.DistributedSystem` running the paper's
 client–server workload over the shard's slice of nodes, clients and
 servers.  Nothing in here touches global state, which is what lets N
-kernels advance concurrently in one process or in N.
+kernels advance side by side in one process.
 
 Cross-shard traffic enters and leaves through the shard's
 :class:`~repro.network.shardrouter.ShardRouter`: clients occasionally
@@ -31,6 +31,7 @@ from repro.sim.shard.partition import ShardPlan
 from repro.sim.stats import RunningStats
 from repro.sim.stopping import StoppingConfig
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.workload.clientserver import ClientServerWorkload
 from repro.workload.generator import BlockTimingGenerator
 from repro.workload.params import SimulationParameters
@@ -40,8 +41,8 @@ from repro.workload.params import SimulationParameters
 class ShardOutcome:
     """Everything one shard reports back at finalization.
 
-    Pure data (picklable): the multiprocess backend ships this over a
-    pipe, and the merge step treats both backends identically.
+    Pure data (picklable): a sharded cell run on the executor's process
+    pool carries its outcomes back inside the merged result.
     """
 
     shard_id: int
@@ -179,9 +180,8 @@ class ShardKernel:
         cap divided by the shard count (floor 16) so N shards do not
         retain N full pools.
     telemetry:
-        Optional :class:`~repro.telemetry.core.Telemetry` handed to the
-        router for per-shard batch metrics (inline backend only — a
-        telemetry instance cannot cross a process boundary).
+        :class:`~repro.telemetry.core.Telemetry` handed to the router
+        for per-shard batch metrics.
     """
 
     def __init__(
@@ -191,7 +191,7 @@ class ShardKernel:
         stopping: Optional[StoppingConfig] = None,
         trace: bool = False,
         sleep_pool_cap: Optional[int] = None,
-        telemetry=None,
+        telemetry: Telemetry = NULL_TELEMETRY,
     ):
         self.plan = plan
         self.shard_id = shard_id
@@ -206,7 +206,6 @@ class ShardKernel:
         # Swap in the shard-local sleep-pool cap (the workload built
         # the environment with the default; no sleeps happened yet).
         self.env._sleep_pool_cap = sleep_pool_cap
-        router_kwargs = {} if telemetry is None else {"telemetry": telemetry}
         self.router = ShardRouter(
             self.env,
             shard_id=shard_id,
@@ -215,7 +214,7 @@ class ShardKernel:
             mean_latency=plan.remote_latency_mean,
             stream=self.system.streams.stream("shard.link"),
             on_call=self._handle_call,
-            **router_kwargs,
+            telemetry=telemetry,
         )
         self.workload.router = self.router
         self._service_stream = self.system.streams.stream("shard.service")

@@ -1,14 +1,14 @@
 """Cross-shard message records and their deterministic merge order.
 
-Everything here crosses process boundaries, so the records are plain
-frozen dataclasses of scalars — no references into any shard's live
-object graph.  The total order of cross-shard events is
+The records are plain frozen dataclasses of scalars — no references
+into any shard's live object graph.  The total order of cross-shard
+events is
 
     ``(window, deliver_at, src_shard, seq)``
 
-which every backend (inline or multiprocess, any worker grouping) sorts
-inbound batches by before scheduling delivery, making merged runs
-bit-identical regardless of transport.
+which the coordinator sorts inbound batches by before scheduling
+delivery, so a merged run does not depend on the order in which shards
+produced their messages.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@
 global :class:`~repro.workload.params.SimulationParameters`, derives the
 per-shard sub-cells (contiguous node blocks with their share of clients
 and servers), the conservative lookahead/window length, and the
-per-shard root seeds.  Both backends and every worker build their
-shards from the same plan object, so a plan fully determines a run.
+per-shard root seeds.  A plan fully determines a run, and it is a cell
+like any other: it names its workload, so the experiment executor runs,
+pools and caches it through :func:`~repro.workload.clientserver.run_cell`.
 
 Lookahead derivation
 --------------------
@@ -47,6 +48,21 @@ def effective_shards(params, shards: int) -> int:
         return 1
     return max(
         1, min(shards, params.nodes, params.clients, params.servers_layer1)
+    )
+
+
+def sharded_cell(params, shards: int):
+    """``params`` as a sweep runs it at ``shards``.
+
+    A :class:`ShardPlan` with the sweeps' cross-shard knobs (5 % of
+    move-blocks remote, lookahead 2.0) at :func:`effective_shards`, or
+    the cell itself when it does not split.
+    """
+    n = effective_shards(params, shards)
+    if n == 1:
+        return params
+    return ShardPlan(
+        params=params, shards=n, remote_fraction=0.05, base_latency=2.0
     )
 
 
@@ -120,6 +136,13 @@ class ShardPlan:
                 raise ConfigurationError(
                     "sharded cells support block_style='move' only"
                 )
+
+    @property
+    def workload(self) -> type:
+        """The workload that simulates this plan (sharded)."""
+        from repro.sim.shard.runner import ShardedWorkload
+
+        return ShardedWorkload
 
     # -- derived synchronization constants ---------------------------------
 

@@ -1,13 +1,15 @@
 """Public entry point of the sharded kernel: run, merge, report.
 
-:func:`run_sharded_cell` is the sharded counterpart of
-:func:`repro.workload.clientserver.run_cell`: it partitions the cell
-per a :class:`~repro.sim.shard.partition.ShardPlan`, picks an execution
-backend (inline or multiprocess), drives the conservative window
-protocol and merges the per-shard outcomes into one
+:func:`run_sharded_cell` partitions a cell per a
+:class:`~repro.sim.shard.partition.ShardPlan`, drives the conservative
+window protocol and merges the per-shard outcomes into one
 :class:`ShardedResult`, a
 :class:`~repro.workload.clientserver.WorkloadResult` — the experiments
-layer plots either without knowing the difference.
+layer plots either without knowing the difference.  A plan names
+:class:`ShardedWorkload` as its workload, so
+:func:`~repro.workload.clientserver.run_cell` — and with it the
+experiment executor, its process pool and its cache — runs a plan like
+any other cell.
 
 ``shards == 1`` does not go through the window machinery at all: it
 delegates to the existing single-kernel ``run_cell`` verbatim, so a
@@ -25,21 +27,15 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from repro.errors import ConfigurationError
-from repro.experiments.executor import Workers, resolve_workers
 from repro.sim.shard.kernel import ShardOutcome
-from repro.sim.shard.mp import ProcessShardHost
 from repro.sim.shard.partition import ShardPlan
-from repro.sim.shard.sync import ConservativeWindowSync, LocalShardHost
+from repro.sim.shard.sync import ConservativeWindowSync
 from repro.sim.stats import RunningStats
 from repro.sim.stopping import StoppingConfig
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.workload.clientserver import WorkloadResult, run_cell
 from repro.workload.params import SimulationParameters
-
-#: Accepted backend spellings.
-BACKENDS = ("auto", "inline", "process")
 
 
 @dataclass
@@ -48,12 +44,11 @@ class ShardedResult(WorkloadResult):
 
     A :class:`~repro.workload.clientserver.WorkloadResult` (``params``,
     the three means as named metrics, ``simulated_time``, ``raw``) plus
-    the sharding facts a bench or test needs (plan, backend, window
-    count, wall time, per-shard outcomes, merged trace).
+    the sharding facts a bench or test needs (plan, window count, wall
+    time, per-shard outcomes, merged trace).
     """
 
     shards: int = 1
-    backend: str = "single"
     windows: int = 0
     wall_time_s: float = 0.0
     outcomes: List[ShardOutcome] = field(default_factory=list)
@@ -81,7 +76,6 @@ def _merge_outcomes(
     plan: ShardPlan,
     outcomes: List[ShardOutcome],
     sync_stats: dict,
-    backend: str,
     wall_time_s: float,
 ) -> ShardedResult:
     """Fold shard outcomes into one result (shard-id order throughout)."""
@@ -128,7 +122,6 @@ def _merge_outcomes(
         raw={
             "plan": plan.describe(),
             "sync": sync_stats,
-            "backend": backend,
             "calls": calls,
             "blocks": blocks,
             "granted_blocks": granted,
@@ -153,7 +146,6 @@ def _merge_outcomes(
             ],
         },
         shards=plan.shards,
-        backend=backend,
         windows=sync_stats.get("windows", 0),
         wall_time_s=wall_time_s,
         outcomes=outcomes,
@@ -176,7 +168,6 @@ def _single_shard_result(
         simulated_time=result.simulated_time,
         raw=result.raw,
         shards=1,
-        backend="single",
         windows=0,
         wall_time_s=time.perf_counter() - wall_start,
         outcomes=[],
@@ -192,8 +183,6 @@ def run_sharded_cell(
     remote_fraction: float = 0.05,
     base_latency: float = 2.0,
     remote_mean_latency: float = -1.0,
-    backend: str = "auto",
-    workers: Optional[Workers] = None,
     trace: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
     max_time: Optional[float] = None,
@@ -209,22 +198,12 @@ def run_sharded_cell(
     shards:
         Kernel instances; ``1`` delegates to the unsharded kernel and
         is bit-identical to :func:`~repro.workload.clientserver.run_cell`.
-    backend:
-        ``"inline"`` (all shards in this process), ``"process"``
-        (worker processes) or ``"auto"`` (process when more than one
-        worker is available, inline otherwise).
-    workers:
-        Worker-process count for the process backend; defaults to
-        ``min(shards, resolve_workers("auto"))`` and always respects
-        the ``REPRO_MAX_WORKERS`` cap.  Shards are dealt round-robin
-        across workers (``shard_ids[h::workers]``).
     trace:
         Record per-shard golden traces, merged into
         ``result.trace_records``.
     telemetry:
-        Coordinator-side sink for ``shard.window.advance``,
-        ``shard.barrier.wait_s`` and (per shard, inline backend only)
-        ``shard.remote.batch_size``.
+        Sink for ``shard.window.advance``, ``shard.barrier.wait_s`` and
+        the per-shard ``shard.remote.batch_size``.
     max_time / poll_interval:
         Simulated-time horizon and stopping-rule poll cadence,
         defaulting to the monolithic driver's values.
@@ -240,62 +219,46 @@ def run_sharded_cell(
             base_latency=base_latency,
             remote_mean_latency=remote_mean_latency,
         )
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-
     if plan.shards == 1:
         return _single_shard_result(plan, stopping, trace, wall_start)
 
-    if workers is None:
-        nworkers = resolve_workers("auto")
-    else:
-        nworkers = resolve_workers(workers)
-    nworkers = min(nworkers, plan.shards)
-    if backend == "auto":
-        backend = "process" if nworkers > 1 else "inline"
-    if backend == "process" and nworkers == 1:
-        backend = "inline"
-
-    hosts: List = []
-    try:
-        if backend == "inline":
-            hosts.append(
-                LocalShardHost(
-                    plan,
-                    range(plan.shards),
-                    stopping=stopping,
-                    trace=trace,
-                    telemetry=telemetry,
-                )
-            )
-        else:
-            for h in range(nworkers):
-                group = list(range(plan.shards))[h::nworkers]
-                hosts.append(
-                    ProcessShardHost(
-                        plan, group, stopping=stopping, trace=trace
-                    )
-                )
-        sync = ConservativeWindowSync(
-            plan,
-            hosts,
-            telemetry=telemetry,
-            max_time=max_time,
-            poll_interval=poll_interval,
-        )
-        outcomes = sync.run()
-    finally:
-        for host in hosts:
-            host.close()
-
-    sync_stats = sync.stats()
-    sync_stats["workers"] = len(hosts) if backend == "process" else 1
-    return _merge_outcomes(
+    sync = ConservativeWindowSync(
         plan,
-        outcomes,
-        sync_stats,
-        backend,
-        time.perf_counter() - wall_start,
+        stopping=stopping,
+        trace=trace,
+        telemetry=telemetry,
+        max_time=max_time,
+        poll_interval=poll_interval,
     )
+    outcomes = sync.run()
+    return _merge_outcomes(
+        plan, outcomes, sync.stats(), time.perf_counter() - wall_start
+    )
+
+
+class ShardedWorkload:
+    """The workload a :class:`ShardPlan` names (``plan.workload``).
+
+    Gives :func:`~repro.workload.clientserver.run_cell` its
+    ``workload(params, stopping=, tracer=).run()`` shape; a recording
+    ``tracer`` is fed the merged per-shard trace after the run.
+    """
+
+    def __init__(
+        self,
+        plan: ShardPlan,
+        stopping: Optional[StoppingConfig] = None,
+        tracer: Tracer = NULL_TRACER,
+    ):
+        self.plan = plan
+        self.stopping = stopping
+        self.tracer = tracer
+
+    def run(self) -> ShardedResult:
+        """Run the plan; see :func:`run_sharded_cell`."""
+        result = run_sharded_cell(
+            self.plan, stopping=self.stopping, trace=self.tracer.enabled
+        )
+        for record in result.trace_records:
+            self.tracer.emit(record.time, record.kind, **record.detail)
+        return result

@@ -205,16 +205,30 @@ class TestPublicApi:
         # experiment and versioning harnesses.
         heavy = ["numpy", "repro.sim.rng", "repro.experiments",
                  "repro.versioning"]
-        code = (
-            f"import sys, {module}\n"
-            f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
-        )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        loaded = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
+        loaded = _loaded_by_import(module, heavy)
         assert loaded == "", f"{module} loaded {loaded}"
+
+    def test_experiment_runner_loads_no_shard_kernel(self):
+        # Unsharded sweeps (every figure by default) never pay for the
+        # sharded kernel's import.
+        loaded = _loaded_by_import(
+            "repro.experiments.runner", ["repro.sim.shard"]
+        )
+        assert loaded == ""
+
+
+def _loaded_by_import(module, watched):
+    """Which of ``watched`` a fresh interpreter has loaded after
+    importing ``module`` (comma-separated, empty when none)."""
+    code = (
+        f"import sys, {module}\n"
+        f"print(','.join(m for m in {watched!r} if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()

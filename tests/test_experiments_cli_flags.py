@@ -278,3 +278,58 @@ class TestTelemetryFlag:
         capsys.readouterr()
         assert validate_main([str(path) for path in artifacts]) == 0
         assert capsys.readouterr().out.count(": OK") == 3
+
+
+#: The output and execution flags only the experiment sweeps read.
+SWEEP_FLAGS = [
+    ["--csv", "out.csv"],
+    ["--json", "out.json"],
+    ["--plot"],
+    ["--check"],
+    ["--cache"],
+    ["--workers", "2"],
+    ["--fast"],
+    ["--paper-precision"],
+]
+
+
+def _flag_id(flag):
+    return flag[0]
+
+
+class TestUnreadFlagsRejected:
+    """A command given a flag it would not read exits 2 naming it,
+    before running anything or writing any file."""
+
+    @pytest.fixture
+    def rejects(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def check(argv, flag):
+            assert main(argv) == 2
+            assert flag in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
+        return check
+
+    @pytest.mark.parametrize("flag", SWEEP_FLAGS, ids=_flag_id)
+    def test_chaos(self, rejects, flag):
+        rejects(["chaos", "--scenario", "crash-storm", *flag], flag[0])
+
+    @pytest.mark.parametrize("flag", SWEEP_FLAGS, ids=_flag_id)
+    def test_deploy(self, rejects, flag):
+        rejects(["deploy", "--scenario", "crash-coordinator", *flag], flag[0])
+
+    @pytest.mark.parametrize("flag", SWEEP_FLAGS, ids=_flag_id)
+    def test_telemetry(self, rejects, flag):
+        rejects(["telemetry", *flag], flag[0])
+        rejects(["faulttolerance", "--telemetry", "out", *flag], flag[0])
+
+    @pytest.mark.parametrize(
+        "flag",
+        [f for f in SWEEP_FLAGS if f[0] not in ("--json", "--fast")],
+        ids=_flag_id,
+    )
+    def test_live(self, rejects, flag):
+        rejects(["live", *flag], flag[0])

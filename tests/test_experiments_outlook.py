@@ -8,7 +8,7 @@ from repro.experiments.cli import build_parser, main
 from repro.experiments.config import SeriesDef
 from repro.experiments.figures import FIGURES, make_figure
 from repro.experiments.outlook import format_outlook_table
-from repro.experiments.runner import ShardedRunner, run_figure
+from repro.experiments.runner import run_figure
 from repro.sim.stopping import StoppingConfig
 
 TINY = StoppingConfig(
@@ -79,7 +79,7 @@ class TestSweeps:
 
     def test_sharded_runner_runs_outlook_cells_unsharded(self):
         definition = replace(make_figure("replication"), x_values=(0.5,))
-        sharded = ShardedRunner(2, stopping=TINY).run(definition)
+        sharded = run_figure(definition, stopping=TINY, shards=2)
         plain = run_figure(definition, stopping=TINY)
         assert sharded.as_table() == plain.as_table()
 

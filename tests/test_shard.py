@@ -28,8 +28,7 @@ from repro.sim.shard.messages import (
     route_batches,
 )
 from repro.sim.shard.partition import ShardPlan, effective_shards
-from repro.sim.shard.runner import run_sharded_cell
-from repro.sim.shard.sync import ConservativeWindowSync, LocalShardHost
+from repro.sim.shard.sync import ConservativeWindowSync
 from repro.workload.params import SimulationParameters
 
 
@@ -310,29 +309,10 @@ class TestShardRouter:
 
 
 class TestWindowSyncValidation:
-    def test_hosts_must_cover_plan_exactly(self):
-        plan = ShardPlan(params=make_params(), shards=2)
-        host = LocalShardHost(plan, [0])
-        with pytest.raises(ValueError, match="hosts cover"):
-            ConservativeWindowSync(plan, [host])
-
     def test_poll_cadence_at_least_one_window(self):
         plan = ShardPlan(params=make_params(), shards=2, base_latency=100.0)
-        hosts = [LocalShardHost(plan, [0, 1])]
-        sync = ConservativeWindowSync(plan, hosts, poll_interval=1.0)
+        sync = ConservativeWindowSync(plan, poll_interval=1.0)
         assert sync.poll_windows == 1
-
-    def test_collect_without_dispatch_raises(self):
-        plan = ShardPlan(params=make_params(), shards=2)
-        host = LocalShardHost(plan, [0, 1])
-        with pytest.raises(RuntimeError, match="without a dispatched"):
-            host.collect()
-
-
-class TestRunnerValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_sharded_cell(make_params(), 2, backend="threads")
 
 
 class TestMaxWorkersCap:

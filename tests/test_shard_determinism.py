@@ -5,31 +5,34 @@ The contract (ISSUE 7):
 * ``shards == 1`` is *bit-identical* to the unsharded kernel — metrics
   and golden trace, equality on floats;
 * the same seed + the same plan reproduce the merged result exactly,
-  on either backend (inline vs worker processes) and for any worker
-  grouping;
+  whether the plan runs in this process or on the experiment
+  executor's pool, through :func:`run_sharded_cell` or
+  :func:`run_cell`;
 * different shard counts are different simulations (different RNG
   partitions) but must agree statistically — same workload, same
   expectations;
 * the cross-shard round trip has a closed-form mean
-  ``2*(base + mean_latency) + 1`` the measured mean must approach.
+  ``2*(base + mean_latency) + 1`` the measured mean must approach;
+* a sweep's sharded table does not depend on ``--workers`` or
+  ``--cache``.
 """
 
 import json
 
 import pytest
 
+from repro.experiments.cli import main
+from repro.experiments.executor import ParallelExecutor
 from repro.experiments.persistence import params_to_dict
-from repro.sim.shard.mp import ProcessShardHost
 from repro.sim.shard.partition import ShardPlan
 from repro.sim.shard.runner import merge_traces, run_sharded_cell
-from repro.sim.shard.sync import ConservativeWindowSync, LocalShardHost
 from repro.sim.stopping import StoppingConfig
 from repro.workload.clientserver import run_cell
 from repro.workload.params import SimulationParameters
 
 FAST = StoppingConfig.fast()
 
-#: Loose-but-quick rule for the multi-backend comparisons.
+#: Loose-but-quick rule for the trace and sweep comparisons.
 TINY = StoppingConfig(
     relative_precision=0.3,
     confidence=0.9,
@@ -109,7 +112,7 @@ class TestSingleShardDelegation:
         params = make_params()
         baseline = run_cell(params, stopping=FAST)
         sharded = run_sharded_cell(params, 1, FAST)
-        assert sharded.backend == "single"
+        assert sharded.windows == 0
         assert sharded.mean_communication_time_per_call == (
             baseline.mean_communication_time_per_call
         )
@@ -136,14 +139,14 @@ class TestSingleShardDelegation:
 class TestSameSeedSamePartition:
     def test_repeated_inline_runs_bit_identical(self):
         params = make_params()
-        a = run_sharded_cell(params, 2, FAST, backend="inline")
-        b = run_sharded_cell(params, 2, FAST, backend="inline")
+        a = run_sharded_cell(params, 2, FAST)
+        b = run_sharded_cell(params, 2, FAST)
         assert _fingerprint(a) == _fingerprint(b)
 
     def test_repeated_runs_merge_identical_traces(self):
         params = make_params(clients=4)
-        a = run_sharded_cell(params, 2, TINY, backend="inline", trace=True)
-        b = run_sharded_cell(params, 2, TINY, backend="inline", trace=True)
+        a = run_sharded_cell(params, 2, TINY, trace=True)
+        b = run_sharded_cell(params, 2, TINY, trace=True)
         assert len(a.trace_records) > 0
         assert _trace_fingerprint(a.trace_records) == (
             _trace_fingerprint(b.trace_records)
@@ -151,59 +154,73 @@ class TestSameSeedSamePartition:
 
     def test_merged_trace_is_in_canonical_order(self):
         params = make_params(clients=4)
-        result = run_sharded_cell(
-            params, 2, TINY, backend="inline", trace=True
-        )
+        result = run_sharded_cell(params, 2, TINY, trace=True)
         times = [r.time for r in result.trace_records]
         assert times == sorted(times)
 
 
-class TestBackendEquivalence:
-    """Inline and multiprocess backends run the identical protocol."""
+class TestPooledCells:
+    """A plan is a cell: the executor's pool and cache run it unchanged."""
 
-    def test_inline_vs_process_bit_identical(self):
-        params = make_params()
-        inline = run_sharded_cell(params, 2, FAST, backend="inline")
-        process = run_sharded_cell(
-            params, 2, FAST, backend="process", workers=2
-        )
-        assert inline.backend == "inline"
-        assert process.backend == "process"
-        assert inline.mean_communication_time_per_call == (
-            process.mean_communication_time_per_call
-        )
-        assert inline.raw["calls"] == process.raw["calls"]
-        assert inline.raw["remote"] == process.raw["remote"]
-        assert inline.raw["per_shard"] == process.raw["per_shard"]
+    def test_run_cell_runs_a_plan(self):
+        from repro.sim.trace import Tracer
 
-    def test_worker_grouping_does_not_change_results(self):
-        """4 shards on 1, 2 and 4 workers: identical merged output."""
-        params = make_params()
-        plan = ShardPlan(params=params, shards=4, remote_fraction=0.1)
-
-        def run_with_hosts(make_hosts):
-            hosts = make_hosts()
-            try:
-                sync = ConservativeWindowSync(plan, hosts)
-                outcomes = sync.run()
-            finally:
-                for host in hosts:
-                    host.close()
-            return [
-                (o.shard_id, o.metrics.summary(), o.router_stats)
-                for o in outcomes
-            ]
-
-        inline = run_with_hosts(
-            lambda: [LocalShardHost(plan, range(4), stopping=TINY)]
+        plan = ShardPlan(params=make_params(clients=4), shards=2)
+        direct = run_sharded_cell(plan, stopping=TINY, trace=True)
+        tracer = Tracer()
+        via_run_cell = run_cell(plan, stopping=TINY, tracer=tracer)
+        assert _fingerprint(via_run_cell) == _fingerprint(direct)
+        assert _trace_fingerprint(tracer.records) == (
+            _trace_fingerprint(direct.trace_records)
         )
-        two_workers = run_with_hosts(
-            lambda: [
-                ProcessShardHost(plan, [0, 2], stopping=TINY),
-                ProcessShardHost(plan, [1, 3], stopping=TINY),
-            ]
+
+    def test_pooled_plan_bit_identical_to_inline(self):
+        plans = [
+            ShardPlan(params=make_params(), shards=2, remote_fraction=0.05),
+            ShardPlan(params=make_params(), shards=4, remote_fraction=0.1),
+        ]
+        inline = [run_sharded_cell(plan, stopping=TINY) for plan in plans]
+        pooled = ParallelExecutor(workers=2).run_cells(
+            [(plan, TINY) for plan in plans]
         )
-        assert inline == two_workers
+        assert [_fingerprint(r) for r in pooled] == [
+            _fingerprint(r) for r in inline
+        ]
+
+    def test_cache_hit_returns_the_global_cell(self, tmp_path):
+        from repro.experiments.cache import CellCache
+
+        plan = ShardPlan(params=make_params(), shards=2)
+        cache = CellCache(tmp_path)
+        computed = run_cell(plan, stopping=TINY)
+        cache.put(plan, TINY, computed)
+        hit = cache.get(plan, TINY)
+        assert hit.params == plan.params == computed.params
+        assert hit.metrics == computed.metrics
+
+    @pytest.fixture
+    def tiny_fast(self, monkeypatch):
+        monkeypatch.setattr(StoppingConfig, "fast", staticmethod(lambda: TINY))
+
+    def test_cli_workers_do_not_change_sharded_table(self, tiny_fast, capsys):
+        argv = ["fig12", "--fast", "--shards", "2"]
+        assert main(argv + ["--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_warm_cache_rerun_executes_no_cells(
+        self, tiny_fast, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["fig12", "--fast", "--shards", "2", "--cache"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "(0 cells simulated)" in warm.err
+        assert "(0 cells simulated)" not in cold.err
 
 
 class TestStatisticalValidity:
@@ -215,7 +232,7 @@ class TestStatisticalValidity:
             base_latency=2.0,
             remote_mean_latency=1.0,
         )
-        result = run_sharded_cell(plan, stopping=FAST, backend="inline")
+        result = run_sharded_cell(plan, stopping=FAST)
         remote = result.raw["remote"]
         assert remote["calls"] > 500
         expected = plan.expected_remote_call_duration
@@ -233,7 +250,7 @@ class TestStatisticalValidity:
         ref = reference.mean_communication_time_per_call
         for shards in (2, 4):
             result = run_sharded_cell(
-                params, shards, FAST, remote_fraction=0.0, backend="inline"
+                params, shards, FAST, remote_fraction=0.0
             )
             assert result.mean_communication_time_per_call == pytest.approx(
                 ref, rel=0.25
@@ -243,17 +260,38 @@ class TestStatisticalValidity:
         from repro.telemetry.core import Telemetry
 
         params = make_params()
-        plain = run_sharded_cell(params, 2, FAST, backend="inline")
+        plain = run_sharded_cell(params, 2, FAST)
         instrumented = run_sharded_cell(
-            params, 2, FAST, backend="inline", telemetry=Telemetry()
+            params, 2, FAST, telemetry=Telemetry()
         )
         assert _fingerprint(plain) == _fingerprint(instrumented)
+
+    def test_hotspot_agrees_at_half_the_shards(self):
+        """The hot-spot cell at N and N/2 shards: same workload.
+
+        Holding the population fixed keeps the per-shard client/server
+        density identical, so the headline metric must agree — the
+        partition is an implementation detail, not a workload change.
+        (Different *scales* genuinely differ: more servers per node
+        changes the contention mix.)
+        """
+        from repro.sim.shard.hotspot import run_hotspot
+
+        result = run_hotspot(4, scale=0.003, stopping=FAST)
+        reference = run_hotspot(2, scale=0.003, stopping=FAST)
+        remote = result.raw["remote"]
+        assert remote["mean_round_trip"] == pytest.approx(
+            remote["expected_round_trip"], rel=0.15
+        )
+        assert result.mean_communication_time_per_call == pytest.approx(
+            reference.mean_communication_time_per_call, rel=0.25
+        )
 
     def test_hotspot_smoke_matches_downscaled_reference(self):
         """The CI smoke: a small hot-spot run with sane aggregates."""
         from repro.sim.shard.hotspot import run_hotspot
 
-        result = run_hotspot(2, scale=0.001, backend="inline", stopping=TINY)
+        result = run_hotspot(2, scale=0.001, stopping=TINY)
         assert result.shards == 2
         assert result.raw["calls"] > 0
         assert result.raw["remote"]["calls"] > 0
