@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-faults test-chaos test-telemetry \
-        test-versioning test-shard test-live test-wal test-kill-smoke \
+        test-shard test-live test-wal test-kill-smoke \
         bench bench-kernel bench-suite claims figures figures-paper examples clean
 
 install:
@@ -40,16 +40,6 @@ test-telemetry:
 	  tests/test_telemetry_metrics.py tests/test_telemetry_spans.py \
 	  tests/test_telemetry_export.py tests/test_telemetry_integration.py \
 	  tests/test_sim_trace.py
-
-# The versioned-migration subsystem: content hashing, the staged
-# planner, the deployer's checkpoint/rollback machinery, the three
-# deploy scenarios and the hypothesis restore properties (pinned seed).
-test-versioning:
-	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:randomly \
-	  --hypothesis-seed=0 \
-	  tests/test_versioning_diff.py tests/test_versioning_planner.py \
-	  tests/test_versioning_deployer.py tests/test_versioning_study.py \
-	  tests/test_prop_versioning.py tests/test_errors_pickle.py
 
 # The sharded kernel: partition plans, window messages, the router,
 # and the determinism/statistics contract (shards=1 bit-identity, a

@@ -19,7 +19,6 @@ __getattr__, __dir__ = lazy_exports(
             "ChaosCampaignResult",
             "ChaosOrchestrator",
             "ChaosScenario",
-            "CrashDuringDeploy",
             "CrashDuringMigration",
             "CrashStorm",
             "FlappingLink",
@@ -55,7 +54,6 @@ __all__ = [
     "ChaosCampaignResult",
     "ChaosOrchestrator",
     "ChaosScenario",
-    "CrashDuringDeploy",
     "CrashDuringMigration",
     "CrashStorm",
     "FT_DETECTION_MODES",

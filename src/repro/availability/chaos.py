@@ -139,40 +139,11 @@ class CrashDuringMigration:
     victim: str = "target"
 
 
-@dataclass(frozen=True)
-class CrashDuringDeploy:
-    """Crash a deploy participant while a version stage is in flight.
-
-    The version-space twin of :class:`CrashDuringMigration`: polls
-    :attr:`~repro.versioning.deployer.MigrationDeployer.active_stage`
-    and, the moment a stage opens, crashes the chosen participant.  The
-    deployer's checkpoint-and-retry path must leave every object at
-    exactly its old or new version hash — never a hybrid.
-
-    Scenarios containing this action require the orchestrator to be
-    built with a ``deployer`` (see :class:`ChaosOrchestrator`); the
-    built-in :data:`SCENARIOS` therefore never include it.
-    """
-
-    #: Simulated time the watcher arms itself.
-    arm_at: float = 50.0
-    #: How long the crashed participant stays down.
-    down_for: float = 40.0
-    #: How many stages to ambush.
-    times: int = 1
-    #: Polling period while armed.
-    poll: float = 1.0
-    #: Which participant to crash: "coordinator" (the node driving the
-    #: deploy) or "participant" (a node hosting an object of the stage).
-    victim: str = "coordinator"
-
-
 Action = Union[
     CrashStorm,
     RollingPartition,
     FlappingLink,
     CrashDuringMigration,
-    CrashDuringDeploy,
 ]
 
 
@@ -201,21 +172,6 @@ class ChaosScenario:
                     f"victim must be 'target', 'origin' or 'either', "
                     f"got {action.victim!r}"
                 )
-            if isinstance(action, CrashDuringDeploy) and action.victim not in (
-                "coordinator",
-                "participant",
-            ):
-                raise ConfigurationError(
-                    f"victim must be 'coordinator' or 'participant', "
-                    f"got {action.victim!r}"
-                )
-
-    @property
-    def needs_deployer(self) -> bool:
-        """Whether any action targets a versioned deploy."""
-        return any(
-            isinstance(action, CrashDuringDeploy) for action in self.actions
-        )
 
 
 #: Built-in scenarios, keyed by CLI name.
@@ -262,7 +218,6 @@ class ChaosOrchestrator:
         self,
         workload: FaultToleranceWorkload,
         scenario: ChaosScenario,
-        deployer=None,
     ):
         scenario.validate()
         if workload.faults is None:
@@ -270,16 +225,8 @@ class ChaosOrchestrator:
                 "chaos needs a fault injector: build the workload with "
                 "scripted_faults=True (or mttf > 0)"
             )
-        if scenario.needs_deployer and deployer is None:
-            raise ConfigurationError(
-                f"scenario {scenario.name!r} contains a CrashDuringDeploy "
-                "action; pass the MigrationDeployer it should ambush"
-            )
         self.workload = workload
         self.scenario = scenario
-        #: The versioned-migration deployer ambushed by
-        #: :class:`CrashDuringDeploy` actions (None otherwise).
-        self.deployer = deployer
         self.system = workload.system
         self.faults = workload.faults
         # Partitions and flaps act on the link fault model; install a
@@ -294,7 +241,6 @@ class ChaosOrchestrator:
         self.partitions_injected = 0
         self.link_flaps = 0
         self.migration_crashes = 0
-        self.deploy_crashes = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -321,8 +267,6 @@ class ChaosOrchestrator:
             yield from self._flapping_link(action, stream)
         elif isinstance(action, CrashDuringMigration):
             yield from self._crash_during_migration(action, stream)
-        elif isinstance(action, CrashDuringDeploy):
-            yield from self._crash_during_deploy(action, stream)
         else:  # pragma: no cover - the Union is exhaustive
             raise ConfigurationError(f"unknown chaos action {action!r}")
 
@@ -439,33 +383,6 @@ class ChaosOrchestrator:
             # Let this transfer resolve before ambushing the next one.
             yield env.timeout(ambush.down_for)
 
-    def _crash_during_deploy(
-        self, ambush: CrashDuringDeploy, stream: Stream
-    ) -> Generator:
-        env = self.system.env
-        deployer = self.deployer
-        if ambush.arm_at > 0:
-            yield env.timeout(ambush.arm_at)
-        remaining = ambush.times
-        while remaining > 0:
-            active = deployer.active_stage
-            if active is None:
-                yield env.timeout(ambush.poll)
-                continue
-            if ambush.victim == "coordinator":
-                victim = deployer.coordinator_node
-            else:
-                # Deterministic pick: the node hosting the stage's
-                # smallest object id.
-                object_id = min(active[1])
-                victim = self.system.registry.get(object_id).node_id
-            if self.faults.crash(victim, duration=ambush.down_for):
-                self.crashes_injected += 1
-                self.deploy_crashes += 1
-                remaining -= 1
-            # Let the stage roll back and retry before the next ambush.
-            yield env.timeout(ambush.down_for)
-
     def stats(self) -> dict:
         """Injection counters for reports and tests."""
         return {
@@ -473,7 +390,6 @@ class ChaosOrchestrator:
             "partitions_injected": self.partitions_injected,
             "link_flaps": self.link_flaps,
             "migration_crashes": self.migration_crashes,
-            "deploy_crashes": self.deploy_crashes,
         }
 
 

@@ -160,20 +160,6 @@ class AttachmentManager:
                 out.append(self._objects[nbr])
         return out
 
-    def edges_of(
-        self, obj: DistributedObject
-    ) -> List[Tuple[int, Optional[int]]]:
-        """All (neighbor id, context) pairs incident to ``obj``.
-
-        Deterministically ordered; ``GLOBAL_CONTEXT`` edges sort before
-        alliance-scoped ones.  This is the raw edge view the content
-        hashes of :mod:`repro.versioning.diff` serialize.
-        """
-        return sorted(
-            self._adjacency.get(obj.object_id, set()),
-            key=lambda e: (e[0], -1 if e[1] is None else e[1]),
-        )
-
     def is_attached(self, a: DistributedObject, b: DistributedObject) -> bool:
         """True if any edge (any context) links a and b directly."""
         return any(

@@ -165,105 +165,6 @@ class MigrationAbortedError(FaultError):
 
 
 # ---------------------------------------------------------------------------
-# Versioned-deployment errors (repro.versioning)
-# ---------------------------------------------------------------------------
-
-
-class DeploymentError(FaultError):
-    """Base class for staged version-deployment failures.
-
-    Derives from :class:`FaultError`: a failing deploy is a condition a
-    running system observes and recovers from (rollback to the last
-    checkpoint), not a programming error.
-    """
-
-
-class StageAbortedError(DeploymentError):
-    """A deploy stage was aborted and rolled back to its checkpoint.
-
-    Raised by :class:`repro.versioning.deployer.MigrationDeployer` in
-    strict mode when a stage cannot complete — coordinator crash,
-    place-policy lock starvation, or a broken lease block.  Message,
-    stage index and reason all live in ``args`` so the exception
-    round-trips through :mod:`pickle` unchanged.
-    """
-
-    def __init__(self, message: str = "", stage: int = -1, reason: str = ""):
-        super().__init__(message, int(stage), reason)
-
-    @property
-    def message(self) -> str:
-        """Human-readable description of the abort."""
-        return self.args[0] if self.args else ""
-
-    @property
-    def stage(self) -> int:
-        """Index of the aborted stage (-1 when unknown)."""
-        return self.args[1] if len(self.args) > 1 else -1
-
-    @property
-    def reason(self) -> str:
-        """Machine-readable abort reason (e.g. ``coordinator-crash``)."""
-        return self.args[2] if len(self.args) > 2 else ""
-
-    def __str__(self) -> str:
-        suffix = []
-        if self.stage >= 0:
-            suffix.append(f"stage={self.stage}")
-        if self.reason:
-            suffix.append(f"reason={self.reason}")
-        return self.message + (f" [{', '.join(suffix)}]" if suffix else "")
-
-
-class ChecksumMismatchError(DeploymentError):
-    """A content hash did not match the plan's expectation.
-
-    Raised when a node/object hash computed after (or before) a stage
-    differs from what the :class:`~repro.versioning.planner.
-    MigrationPlan` predicted — the graph changed under the deployer's
-    feet or a version flip did not land.  Carries the object id and the
-    expected/actual hashes in ``args`` for pickle-safe transport.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        object_id: int = -1,
-        expected: str = "",
-        actual: str = "",
-    ):
-        super().__init__(message, int(object_id), expected, actual)
-
-    @property
-    def message(self) -> str:
-        """Human-readable description of the mismatch."""
-        return self.args[0] if self.args else ""
-
-    @property
-    def object_id(self) -> int:
-        """Object whose hash mismatched (-1 for a graph-level digest)."""
-        return self.args[1] if len(self.args) > 1 else -1
-
-    @property
-    def expected(self) -> str:
-        """The hash the plan predicted."""
-        return self.args[2] if len(self.args) > 2 else ""
-
-    @property
-    def actual(self) -> str:
-        """The hash actually computed."""
-        return self.args[3] if len(self.args) > 3 else ""
-
-    def __str__(self) -> str:
-        if not self.expected and not self.actual:
-            return self.message
-        return (
-            f"{self.message} (expected {self.expected[:12]}…, "
-            f"got {self.actual[:12]}…)"
-        )
-
-
-# ---------------------------------------------------------------------------
 # Live transport & supervision errors (repro.runtime.live)
 # ---------------------------------------------------------------------------
 

@@ -43,13 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "figure",
         choices=sorted(FIGURES)
-        + ["chaos", "deploy", "all", "telemetry", "live"],
+        + ["chaos", "all", "telemetry", "live"],
         help=(
             "which figure to regenerate (figN), one of the ablations "
             "(guard / locator / nm_ratio / exclusive / visit / topology), "
             "one of the outlook "
             "studies (replication / fragmentation / availability / "
-            "faulttolerance / chaos / deploy), 'telemetry' for one "
+            "faulttolerance / chaos), 'telemetry' for one "
             "fully instrumented run with exported traces, or 'live' "
             "for the multi-process runtime demo (sim-predicted vs. "
             "measured conflict/abort rates)"
@@ -95,28 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         type=str,
         default=None,
-        help="chaos/deploy/telemetry only: run a single named scenario "
-        "(e.g. crash-storm, crash-coordinator) instead of the full "
-        "matrix",
+        help="chaos/telemetry only: run a single named chaos scenario "
+        "(e.g. crash-storm) instead of the full matrix",
     )
     parser.add_argument(
         "--telemetry",
         type=str,
         default=None,
         metavar="DIR",
-        help="faulttolerance/chaos/deploy: run ONE instrumented seeded "
+        help="faulttolerance/chaos: run ONE instrumented seeded "
         "cell (not the sweep) and export metrics.jsonl, spans.jsonl "
         "and a Perfetto-loadable trace.json into DIR.  live: record "
         "per-process spans/metrics + flight recorders across the OS "
         "processes and merge them into one Perfetto trace in DIR",
-    )
-    parser.add_argument(
-        "--markdown",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="deploy only: also write the full plan/deploy report "
-        "(stage timelines, rollbacks, digests) as markdown to FILE",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="root random seed (default 0)"
@@ -203,32 +194,15 @@ def _run_telemetry(args) -> int:
     commands with ``--telemetry DIR`` run their single-cell equivalent:
     a sweep would pool many environments into one trace, so the
     instrumented path always runs exactly one seeded cell.
-    ``repro-experiment deploy --telemetry DIR`` exports the deploy
-    span tree (stages, per-object upgrades, rollbacks) the same way.
     """
     from repro.experiments.telemetry_run import (
         describe_run,
         run_instrumented_chaos,
-        run_instrumented_deploy,
         run_instrumented_faulttolerance,
     )
     from repro.telemetry.export import summary_table
 
     out_dir = args.telemetry or "telemetry-out"
-    if args.figure == "deploy":
-        scenario = args.scenario or "crash-coordinator"
-        print(
-            f"instrumented deploy scenario {scenario!r} "
-            f"(seed {args.seed}) -> {out_dir}",
-            file=sys.stderr,
-        )
-        _, telemetry, paths = run_instrumented_deploy(
-            out_dir, scenario=scenario, seed=args.seed
-        )
-        print(summary_table(telemetry))
-        print()
-        print(describe_run(telemetry, paths))
-        return 0
     use_chaos = args.figure == "chaos" or args.scenario is not None
     if use_chaos:
         scenario = args.scenario or "crash-storm"
@@ -353,8 +327,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     # The experiment sweeps read the output and execution flags, the
-    # live demo reads --json and --fast, and the scenario tables and
-    # instrumented (--telemetry) runs read none of them.
+    # live demo reads --json and --fast, and the chaos scenario table
+    # and instrumented (--telemetry) runs read none of them.
     sweeps = (*FIGURES, "all") if args.telemetry is None else ()
     sweep_only = (
         "only applies to experiment runs (figN, ablations, outlook "
@@ -364,20 +338,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     for given, commands, error in (
         (
             args.scenario is not None,
-            ("chaos", "deploy", "telemetry"),
-            "--scenario only applies to the chaos and deploy studies "
-            "and telemetry runs",
+            ("chaos", "telemetry"),
+            "--scenario only applies to the chaos study and telemetry "
+            "runs",
         ),
         (
             args.telemetry is not None,
-            ("faulttolerance", "chaos", "deploy", "telemetry", "live"),
-            "--telemetry only applies to faulttolerance, chaos, deploy, "
+            ("faulttolerance", "chaos", "telemetry", "live"),
+            "--telemetry only applies to faulttolerance, chaos, "
             "telemetry and live runs",
-        ),
-        (
-            args.markdown is not None,
-            ("deploy",),
-            "--markdown only applies to the deploy study",
         ),
         (args.shards != 1, sweeps, f"--shards {sweep_only}"),
         (args.csv is not None, sweeps, f"--csv {sweep_only}"),
@@ -405,16 +374,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_live(args)
 
     if args.scenario is not None:
-        # A deploy scenario for deploy, a chaos scenario otherwise.
-        if args.figure == "deploy":
-            from repro.versioning.study import DEPLOY_SCENARIOS as known
-        else:
-            from repro.availability.chaos import SCENARIOS as known
-        if args.scenario not in known:
-            kind = "deploy scenario" if args.figure == "deploy" else "scenario"
+        from repro.availability.chaos import SCENARIOS
+
+        if args.scenario not in SCENARIOS:
             print(
-                f"unknown {kind} {args.scenario!r}; choose from "
-                f"{sorted(known)}",
+                f"unknown scenario {args.scenario!r}; choose from "
+                f"{sorted(SCENARIOS)}",
                 file=sys.stderr,
             )
             return 2
@@ -429,30 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"running chaos scenarios (seed {args.seed})", file=sys.stderr)
         header, rows = chaos_sweep(seed=args.seed, scenarios=scenarios)
         print(format_outlook_table("chaos", header, rows))
-        return 0
-
-    if args.figure == "deploy":
-        from repro.versioning.study import (
-            DEPLOY_SCENARIOS,
-            deploy_report_markdown,
-            deploy_rows,
-            run_deploy_matrix,
-        )
-
-        scenarios = (
-            DEPLOY_SCENARIOS if args.scenario is None else (args.scenario,)
-        )
-        print(
-            f"running deploy scenarios: {', '.join(scenarios)}",
-            file=sys.stderr,
-        )
-        results = run_deploy_matrix(seed=args.seed, scenarios=scenarios)
-        header, rows = deploy_rows(results)
-        print(format_outlook_table("deploy", header, rows))
-        if args.markdown is not None:
-            with open(args.markdown, "w") as fh:
-                fh.write(deploy_report_markdown(results))
-            print(f"wrote {args.markdown}", file=sys.stderr)
         return 0
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]

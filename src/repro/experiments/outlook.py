@@ -3,18 +3,11 @@
 The client-server outlook studies (``replication``, ``fragmentation``,
 ``availability``, ``faulttolerance``) are experiment definitions in
 :data:`~repro.experiments.figures.FIGURES` and run like the figures.
-``chaos`` and ``deploy`` produce one row per named scenario instead:
-
-* ``chaos`` — :func:`chaos_sweep`: every built-in chaos scenario under
-  heartbeat detection and invariant monitoring (availability metrics
-  per scenario; a run that reaches the table at all held every safety
-  invariant);
-* ``deploy`` — :func:`repro.versioning.study.deploy_rows`: every
-  versioned-migration deploy scenario (clean run, coordinator crash
-  mid-stage, induced invariant violation), one row per scenario with
-  commit / rollback counts and the digest check.
-
-Both print through :func:`format_outlook_table`.
+``chaos`` produces one row per named scenario instead:
+:func:`chaos_sweep` runs every built-in chaos scenario under heartbeat
+detection and invariant monitoring (availability metrics per scenario;
+a run that reaches the table at all held every safety invariant), and
+:func:`format_outlook_table` prints it.
 """
 
 from __future__ import annotations

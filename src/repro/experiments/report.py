@@ -38,8 +38,7 @@ def format_rows(
 
     The first column may be numeric (a swept parameter) or a string
     (e.g. a chaos scenario name); later columns render floats at
-    ``precision``, ints bare, and pass strings through (e.g. a deploy
-    status).
+    ``precision`` and ints bare.
     """
 
     def cell(v, first: bool) -> str:

@@ -14,7 +14,6 @@ CLI::
     repro-experiment telemetry --out out/            # default FT cell
     repro-experiment chaos --scenario mayhem --telemetry out/
     repro-experiment faulttolerance --telemetry out/
-    repro-experiment deploy --scenario crash-coordinator --telemetry out/
 """
 
 from __future__ import annotations
@@ -87,30 +86,6 @@ def run_instrumented_chaos(
     telemetry = Telemetry()
     campaign = ChaosCampaign(params, telemetry=telemetry)
     result = campaign.run()
-    paths = export_run(telemetry, out_dir)
-    return result, telemetry, paths
-
-
-def run_instrumented_deploy(
-    out_dir: Union[str, Path],
-    scenario: str = "crash-coordinator",
-    seed: int = 0,
-):
-    """Run one versioned-migration deploy scenario with telemetry.
-
-    The exported ``trace.json`` shows the deploy as a cross-node span
-    tree: the ``deploy`` root and its ``deploy.stage`` children on the
-    coordinator's lane, every ``deploy.upgrade`` on the lane of the
-    node hosting that object, and ``deploy.rollback`` markers where a
-    stage (or the whole deploy) was undone.  Returns
-    ``(result, telemetry, paths)``.
-    """
-    from repro.versioning.study import DeployStudy, DeployStudyParameters
-
-    params = DeployStudyParameters(scenario=scenario, seed=seed)
-    telemetry = Telemetry()
-    study = DeployStudy(params, telemetry=telemetry)
-    result = study.run()
     paths = export_run(telemetry, out_dir)
     return result, telemetry, paths
 

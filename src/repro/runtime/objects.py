@@ -62,12 +62,6 @@ class DistributedObject:
     size:
         Abstract size; migration duration may scale with it (the paper
         keeps M fixed, so the default workloads use size 1).
-    version:
-        Schema/configuration version tag of the object's state.  The
-        paper migrates objects in *space*; :mod:`repro.versioning`
-        migrates them in *version* — this tag is what a staged deploy
-        flips (atomically per object) and what the content hashes of
-        :mod:`repro.versioning.diff` cover.
     """
 
     __slots__ = (
@@ -77,7 +71,6 @@ class DistributedObject:
         "kind",
         "fixed",
         "size",
-        "version",
         "_node_id",
         "_state",
         "reinstalled",
@@ -97,7 +90,6 @@ class DistributedObject:
         name: str = "",
         fixed: bool = False,
         size: float = 1.0,
-        version: str = "v0",
     ):
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -107,7 +99,6 @@ class DistributedObject:
         self.kind = kind
         self.fixed = fixed
         self.size = size
-        self.version = version
         self._node_id = node_id
         self._state = MobilityState.RESIDENT
         #: Broadcast condition released every time the object is

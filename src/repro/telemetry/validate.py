@@ -12,10 +12,10 @@ checks the contracts without needing those tools:
   :meth:`to_dict` fields of its type, counters monotone and histogram
   counts consistent (:func:`validate_metric_doc`).
 
-Span families with a registered schema (the ``deploy.*`` family of
-:mod:`repro.versioning` and the live runtime's ``wal.replay`` /
-``live.recover``) are additionally checked for their required tags —
-in both artifacts, since the Chrome exporter folds tags into ``args``.
+Spans registered in :data:`LIVE_SPAN_SCHEMAS` (the live runtime's
+``wal.replay``, ``live.*`` and ``flight.dump`` spans) are additionally
+checked for their required tags — in both artifacts, since the Chrome
+exporter folds tags into ``args``.
 Metric names the live runtime promises (``live.transport.*``,
 ``live.transfer.latency_s``, ``wal.*``, ``home.*``) are pinned to
 their instrument type.  Usable as a library or a CLI::
@@ -33,24 +33,6 @@ from typing import List, Union
 
 #: Event phases the exporter may emit.
 KNOWN_PHASES = {"X", "i", "C", "M"}
-
-#: Required tag keys per deploy-family span name.  The deployer always
-#: sets these; a deploy span without them would render a useless tree.
-DEPLOY_SPAN_SCHEMAS = {
-    "deploy": ("plan", "stages"),
-    "deploy.stage": ("stage", "objects"),
-    "deploy.upgrade": ("object", "to"),
-    "deploy.rollback": ("stage", "reason"),
-}
-
-#: Metric names the deploy emits (the catalog entry tests pin down).
-DEPLOY_METRICS = (
-    "deploy.stages",
-    "deploy.objects_upgraded",
-    "deploy.rollbacks",
-    "deploy.checkpoints",
-    "deploy.stage_time",
-)
 
 #: Required tag keys per live-runtime span name.  ``wal.replay`` must
 #: say how much journal it consumed; ``live.recover`` which arbitration
@@ -116,14 +98,11 @@ SPAN_DOC_FIELDS = (
 )
 
 
-def _check_deploy_tags(name: str, tags: dict, where: str) -> List[str]:
-    """Missing required tags for a schema-registered span name."""
-    required = DEPLOY_SPAN_SCHEMAS.get(
-        name, LIVE_SPAN_SCHEMAS.get(name, ())
-    )
+def _missing_span_tags(name: str, tags: dict, where: str) -> List[str]:
+    """Required tags of ``LIVE_SPAN_SCHEMAS[name]`` absent from ``tags``."""
     return [
         f"{where}: span {name!r} missing required tag {key!r}"
-        for key in required
+        for key in LIVE_SPAN_SCHEMAS.get(name, ())
         if key not in tags
     ]
 
@@ -208,7 +187,7 @@ def validate_span_doc(doc: dict, where: str = "span") -> List[str]:
     if not isinstance(doc["tags"], dict):
         problems.append(f"{where}: 'tags' must be an object")
     else:
-        problems.extend(_check_deploy_tags(doc["name"], doc["tags"], where))
+        problems.extend(_missing_span_tags(doc["name"], doc["tags"], where))
     if doc["end"] is not None and doc["end"] < doc["start"]:
         problems.append(f"{where}: span ends before it starts")
     return problems
@@ -276,10 +255,10 @@ def validate_chrome_trace(doc: dict) -> List[str]:
             if (event.get("args") or {}).get("name"):
                 named_pids = True
         if ph in ("X", "i") and isinstance(event.get("name"), str):
-            # The Chrome exporter folds span tags into args; deploy
+            # The Chrome exporter folds span tags into args; registered
             # spans must keep their schema through that mapping too.
             problems.extend(
-                _check_deploy_tags(
+                _missing_span_tags(
                     event["name"], event.get("args") or {}, where
                 )
             )

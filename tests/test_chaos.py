@@ -17,7 +17,6 @@ from repro.availability import (
     ChaosCampaignParameters,
     ChaosOrchestrator,
     ChaosScenario,
-    CrashDuringDeploy,
     CrashDuringMigration,
     CrashStorm,
     FaultToleranceParameters,
@@ -58,30 +57,6 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="fault injector"):
             ChaosOrchestrator(workload, SCENARIOS["crash-storm"])
-
-    def test_bad_deploy_victim_rejected(self):
-        scenario = ChaosScenario(
-            "bad-deploy", (CrashDuringDeploy(victim="bystander"),)
-        )
-        with pytest.raises(ConfigurationError, match="victim"):
-            scenario.validate()
-
-    def test_deploy_scenario_needs_deployer(self):
-        workload = FaultToleranceWorkload(
-            FaultToleranceParameters(
-                policy="placement", scripted_faults=True, mttf=0.0
-            )
-        )
-        scenario = ChaosScenario(
-            "deploy-crash", (CrashDuringDeploy(victim="coordinator"),)
-        )
-        assert scenario.needs_deployer
-        with pytest.raises(ConfigurationError, match="MigrationDeployer"):
-            ChaosOrchestrator(workload, scenario)
-
-    def test_builtin_scenarios_need_no_deployer(self):
-        for scenario in SCENARIOS.values():
-            assert not scenario.needs_deployer
 
 
 class TestScenarios:

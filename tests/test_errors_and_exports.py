@@ -202,9 +202,8 @@ class TestPublicApi:
         # A fresh interpreter, as every spawned live process is: the
         # package __init__s are export tables, so importing a live
         # module must not drag in numpy, the sim streams or the
-        # experiment and versioning harnesses.
-        heavy = ["numpy", "repro.sim.rng", "repro.experiments",
-                 "repro.versioning"]
+        # experiment harness.
+        heavy = ["numpy", "repro.sim.rng", "repro.experiments"]
         loaded = _loaded_by_import(module, heavy)
         assert loaded == "", f"{module} loaded {loaded}"
 

@@ -17,14 +17,11 @@ import pytest
 
 import repro.errors as errors_module
 from repro.errors import (
-    ChecksumMismatchError,
     ConnectionLostError,
-    DeploymentError,
     DrainTimeoutError,
     FrameTooLargeError,
     InvariantViolationError,
     ReproError,
-    StageAbortedError,
     TransportError,
     WorkerCrashedError,
 )
@@ -51,12 +48,6 @@ def sample_instance(cls):
         return cls(42)
     if cls is errors_module.Interrupt:
         return cls("preempted")
-    if cls is StageAbortedError:
-        return cls("stage failed", stage=2, reason="coordinator-crash")
-    if cls is ChecksumMismatchError:
-        return cls(
-            "hash drift", object_id=7, expected="a" * 64, actual="b" * 64
-        )
     if cls is ConnectionLostError:
         return cls("peer vanished mid-frame", peer=3)
     if cls is FrameTooLargeError:
@@ -214,35 +205,3 @@ class TestLiveErrorPayloads:
         assert issubclass(ConnectionLostError, TransportError)
         assert issubclass(WorkerCrashedError, errors_module.SupervisionError)
         assert issubclass(DrainTimeoutError, errors_module.SupervisionError)
-
-
-class TestDeploymentErrorPayloads:
-    def test_stage_aborted_payload_survives(self):
-        exc = StageAbortedError("boom", stage=3, reason="invariant-violation")
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.message == "boom"
-        assert clone.stage == 3
-        assert clone.reason == "invariant-violation"
-        assert "stage=3" in str(clone)
-        assert "invariant-violation" in str(clone)
-
-    def test_stage_aborted_defaults(self):
-        exc = StageAbortedError("bare")
-        assert exc.stage == -1
-        assert exc.reason == ""
-
-    def test_checksum_mismatch_payload_survives(self):
-        exc = ChecksumMismatchError(
-            "object 9 drifted", object_id=9, expected="e" * 64, actual="f" * 64
-        )
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.object_id == 9
-        assert clone.expected == "e" * 64
-        assert clone.actual == "f" * 64
-        # __str__ shows truncated hashes, never the full 64 chars.
-        assert "e" * 8 in str(clone) and "e" * 64 not in str(clone)
-
-    def test_deployment_errors_are_fault_errors(self):
-        assert issubclass(DeploymentError, errors_module.FaultError)
-        assert issubclass(StageAbortedError, DeploymentError)
-        assert issubclass(ChecksumMismatchError, DeploymentError)

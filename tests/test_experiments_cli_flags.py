@@ -318,10 +318,6 @@ class TestUnreadFlagsRejected:
         rejects(["chaos", "--scenario", "crash-storm", *flag], flag[0])
 
     @pytest.mark.parametrize("flag", SWEEP_FLAGS, ids=_flag_id)
-    def test_deploy(self, rejects, flag):
-        rejects(["deploy", "--scenario", "crash-coordinator", *flag], flag[0])
-
-    @pytest.mark.parametrize("flag", SWEEP_FLAGS, ids=_flag_id)
     def test_telemetry(self, rejects, flag):
         rejects(["telemetry", *flag], flag[0])
         rejects(["faulttolerance", "--telemetry", "out", *flag], flag[0])
@@ -333,3 +329,30 @@ class TestUnreadFlagsRejected:
     )
     def test_live(self, rejects, flag):
         rejects(["live", *flag], flag[0])
+
+    def test_no_deploy_command(self, tmp_path, monkeypatch, capsys):
+        # `deploy` and `--markdown` are not CLI inputs: argparse
+        # rejects both before anything runs, and the --scenario and
+        # --telemetry errors name only the commands that read them.
+        monkeypatch.chdir(tmp_path)
+        for argv, error in (
+            (["deploy"], "invalid choice: 'deploy'"),
+            (
+                ["chaos", "--markdown", "report.md"],
+                "unrecognized arguments: --markdown report.md",
+            ),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert error in capsys.readouterr().err
+        assert main(["fig8", "--scenario", "crash-storm"]) == 2
+        assert capsys.readouterr().err == (
+            "--scenario only applies to the chaos study and telemetry runs\n"
+        )
+        assert main(["fig8", "--telemetry", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "--telemetry only applies to faulttolerance, chaos, telemetry "
+            "and live runs\n"
+        )
+        assert list(tmp_path.iterdir()) == []

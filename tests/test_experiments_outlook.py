@@ -70,7 +70,7 @@ class TestSweeps:
         studies = {"replication", "fragmentation", "availability"}
         assert studies | {"faulttolerance"} <= set(FIGURES)
         parser = build_parser()
-        for name in sorted(studies) + ["faulttolerance", "chaos", "deploy"]:
+        for name in sorted(studies) + ["faulttolerance", "chaos"]:
             assert parser.parse_args([name]).figure == name
 
     def test_run_outlook_unknown(self):

@@ -280,3 +280,14 @@ class TestLiveSpanSchemas:
             "missing required tag 'mode'" in p
             for p in validate_span_doc(recover)
         )
+        # The Chrome exporter folds tags into args, and the check follows.
+        trace = {
+            "traceEvents": [
+                {"ph": "X", "name": "wal.replay", "pid": 0, "ts": 0,
+                 "dur": 1, "args": {}},
+            ]
+        }
+        assert any(
+            "missing required tag 'records'" in p
+            for p in validate_chrome_trace(trace)
+        )
